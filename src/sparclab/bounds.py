@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import capped_deviation_exponent
+from .exponents import _capped_exponent_array, _exponent_array, capped_deviation_exponent
 from .geometry import (
     ChannelSpec,
     CodeSpec,
@@ -99,28 +99,6 @@ class TailBound:
     policy: str = "split"
 
 
-def _capped_exponent_vec(delta: np.ndarray, spread: float) -> np.ndarray:
-    """Vectorized tilt-capped exponent; zero for nonpositive gaps."""
-    d = np.maximum(delta, 0.0)
-    if spread == 0.0:
-        return d
-    q = 4.0 * d * d / spread
-    root = np.sqrt(1.0 + q)
-    lam = 2.0 * d / (spread * (1.0 + root))
-    gamma = q / (root + 1.0)
-    interior = 0.5 * (gamma - np.log1p(0.5 * gamma))
-    clamped = d + 0.5 * math.log1p(-spread)
-    return np.where(lam >= 1.0, clamped, interior)
-
-
-def _exponent_vec(delta: np.ndarray, spread: float) -> np.ndarray:
-    """Vectorized unrestricted exponent; zero for nonpositive gaps."""
-    d = np.maximum(delta, 0.0)
-    q = 4.0 * d * d / spread
-    gamma = q / (np.sqrt(1.0 + q) + 1.0)
-    return 0.5 * (gamma - np.log1p(0.5 * gamma))
-
-
 def _union_log(ell: int, L: int, n: float, v: float, rate: float, t: float) -> float:
     """ln of the single-term bound before clamping."""
     alpha = ell / L
@@ -131,63 +109,104 @@ def _union_log(ell: int, L: int, n: float, v: float, rate: float, t: float) -> f
     return log_binomial(L, ell) - n * expo
 
 
-def _split_terms(t_alpha, n, t, log_comb, s_main, s_star, room):
+def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
     """Log of the two split-bound terms at intermediate thresholds t_alpha."""
-    main = log_comb - n * _capped_exponent_vec(room - (t_alpha - t), s_main)
-    star = -n * _exponent_vec(t_alpha - t, s_star)
+    main = log_comb - n * _capped_exponent_array(room - (t_alpha - t), s_main, clamp)
+    star = -n * _exponent_array(t_alpha - t, s_star)
     return main, star
 
 
-def _split_eval(ell: int, L: int, n: float, v: float, rate: float, t: float,
-                grid_points: int = 256):
-    """Optimize the split bound over the open threshold interval.
+_GRID_CHUNK = 16   # cells per grid-stage pass; bounds the (cells, grid) temporaries
 
-    Uniform grid then golden-section refinement around the grid minimum.
-    Returns (log_total, t_alpha, log_main, log_star).
+
+def _split_optimize(ells, L: int, n, v: float, rate, t: float,
+                    grid_points: int = 256):
+    """Optimize the split bound over the open threshold interval, per cell.
+
+    Cell i is mistake count ells[i] at codelength n[i] and rate rate[i] (n
+    and rate may be scalars shared by all cells).  Each cell gets a uniform
+    grid, then golden-section refinement around the grid minimum; the
+    refinement runs on every cell in lockstep, with per-cell masks for the
+    bracket update and the early exit.  Returns arrays (log_total, t_alpha,
+    log_main, log_star); a cell whose threshold leaves no room gives
+    (0, t, 0, 0).
     """
-    alpha = ell / L
-    head = partial_capacity(alpha, v) - alpha * rate
-    room = head - t
-    if room <= 0.0:
-        return 0.0, t, 0.0, 0.0
+    ells = np.asarray(ells, dtype=np.int64).ravel()
+    size = ells.size
+    n = np.broadcast_to(np.asarray(n, dtype=np.float64), (size,))
+    rate = np.broadcast_to(np.asarray(rate, dtype=np.float64), (size,))
 
-    log_comb = log_binomial(L, ell)
-    s_main = spread_refined(alpha, v)
-    s_star = alpha * alpha * v / (1.0 + alpha * alpha * v)
+    cells, rows = [], []
+    for i, (ell, n_i, r_i) in enumerate(zip(ells.tolist(), n.tolist(), rate.tolist())):
+        alpha = ell / L
+        room = partial_capacity(alpha, v) - alpha * r_i - t
+        if room <= 0.0:
+            continue
+        s_main = spread_refined(alpha, v)
+        s_star = alpha * alpha * v / (1.0 + alpha * alpha * v)
+        cells.append(i)
+        rows.append((n_i, log_binomial(L, ell), s_main,
+                     0.5 * math.log1p(-s_main), s_star, room))
+
+    out = np.zeros((4, size))
+    out[1] = t
+    if not cells:
+        return tuple(out)
+    # one row per parameter: n, log_comb, s_main, clamp, s_star, room; the
+    # clamp offset comes from math.log1p per cell, as the scalar exponent has it
+    P = np.array(rows).T
+    room = P[5]
+    m = len(cells)
 
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
-    xs = t + room * ks / (grid_points + 1)
-    main, star = _split_terms(xs, n, t, log_comb, s_main, s_star, room)
-    tot = np.logaddexp(main, star)
-    j = int(np.argmin(tot))
+    lo, hi, x_grid, f_grid = (np.empty(m) for _ in range(4))
+    for start in range(0, m, _GRID_CHUNK):
+        block = slice(start, start + _GRID_CHUNK)
+        r = room[block, None]
+        xs = t + r * ks / (grid_points + 1)
+        tot = np.logaddexp(*_split_terms(xs, t, *P[:, block, None]))
+        j = np.argmin(tot, axis=1)
+        k = np.arange(j.size)
+        x_grid[block] = xs[k, j]
+        f_grid[block] = tot[k, j]
+        lo[block] = np.where(j > 0, xs[k, j - 1], t + 1e-12 * r[:, 0])
+        hi[block] = np.where(j < grid_points - 1,
+                             xs[k, np.minimum(j + 1, grid_points - 1)],
+                             t + r[:, 0] * (1.0 - 1e-12))
 
-    lo = xs[j - 1] if j > 0 else t + 1e-12 * room
-    hi = xs[j + 1] if j < grid_points - 1 else t + room * (1.0 - 1e-12)
-
-    def f(x: float) -> float:
-        m, s = _split_terms(np.array([x]), n, t, log_comb, s_main, s_star, room)
-        return float(np.logaddexp(m, s)[0])
+    def f(x, params):
+        return np.logaddexp(*_split_terms(x, t, *params))
 
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    S = np.stack([a, b, c, d, f(c, P), f(d, P)])   # a, b, c, d, fc, fd
+    final = np.empty((4, m))                         # c, d, fc, fd at exit
+    live, params = np.arange(m), P
     for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        if b - a <= 1e-14 * room:
-            break
-    x_opt = c if fc < fd else d
-    if float(tot[j]) < min(fc, fd):
-        x_opt = float(xs[j])
-    m, s = _split_terms(np.array([x_opt]), n, t, log_comb, s_main, s_star, room)
-    return float(np.logaddexp(m, s)[0]), float(x_opt), float(m[0]), float(s[0])
+        a, b, c, d, fc, fd = S
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fx = f(x, params)
+        S = np.stack([a, b, np.where(left, x, d), np.where(left, c, x),
+                      np.where(left, fx, fd), np.where(left, fc, fx)])
+        done = b - a <= 1e-14 * params[5]
+        if done.any():
+            final[:, live[done]] = S[2:, done]
+            keep = ~done
+            S, params, live = S[:, keep], params[:, keep], live[keep]
+            if not live.size:
+                break
+    final[:, live] = S[2:]
+
+    c, d, fc, fd = final
+    x_opt = np.where(fc < fd, c, d)
+    x_opt = np.where(f_grid < np.where(fd < fc, fd, fc), x_grid, x_opt)
+    main, star = _split_terms(x_opt, t, *P)
+    out[:, cells] = np.logaddexp(main, star), x_opt, main, star
+    return tuple(out)
 
 
 def _query_params(q: BoundQuery) -> tuple[int, float, float, float, float]:
@@ -212,29 +231,38 @@ def split_bound(ell: int, q: BoundQuery,
     L, n, v, rate, t = _query_params(q)
     if not 1 <= ell <= L:
         raise ValueError(f"need 1 <= ell <= L, got {ell}")
-    log_total, t_opt, _, _ = _split_eval(ell, L, n, v, rate, t, grid_points)
+    log_total, t_opt, _, _ = (float(x[0]) for x in
+                              _split_optimize([ell], L, n, v, rate, t, grid_points))
     return min(1.0, math.exp(min(0.0, log_total))), t_opt
+
+
+def _section_bounds(ells, q: BoundQuery, grid_points: int) -> tuple[SectionBound, ...]:
+    """section_bound for each mistake count, with one split optimization."""
+    L, n, v, rate, t = _query_params(q)
+    split = _split_optimize(ells, L, n, v, rate, t, grid_points)
+    out = []
+    for ell, s_log, t_opt, m_log, st_log in zip(ells, *(x.tolist() for x in split)):
+        u_log = _union_log(ell, L, n, v, rate, t)
+        out.append(SectionBound(
+            ell=ell,
+            alpha=ell / L,
+            union_prob=min(1.0, math.exp(min(0.0, u_log))),
+            union_log=u_log,
+            split_prob=min(1.0, math.exp(min(0.0, s_log))),
+            split_log=s_log,
+            split_main_log=m_log,
+            split_star_log=st_log,
+            t_alpha_opt=t_opt,
+        ))
+    return tuple(out)
 
 
 def section_bound(ell: int, q: BoundQuery,
                   grid_points: int = 256) -> SectionBound:
     """Full per-fraction record: both bounds plus split internals."""
-    L, n, v, rate, t = _query_params(q)
-    if not 1 <= ell <= L:
+    if not 1 <= ell <= q.code.L:
         raise ValueError(f"need 1 <= ell <= L, got {ell}")
-    u_log = _union_log(ell, L, n, v, rate, t)
-    s_log, t_opt, m_log, st_log = _split_eval(ell, L, n, v, rate, t, grid_points)
-    return SectionBound(
-        ell=ell,
-        alpha=ell / L,
-        union_prob=min(1.0, math.exp(min(0.0, u_log))),
-        union_log=u_log,
-        split_prob=min(1.0, math.exp(min(0.0, s_log))),
-        split_log=s_log,
-        split_main_log=m_log,
-        split_star_log=st_log,
-        t_alpha_opt=t_opt,
-    )
+    return _section_bounds([ell], q, grid_points)[0]
 
 
 def mistake_tail_bound(ell0: int, q: BoundQuery, grid_points: int = 256,
@@ -243,7 +271,7 @@ def mistake_tail_bound(ell0: int, q: BoundQuery, grid_points: int = 256,
     L = q.code.L
     if not 1 <= ell0 <= L:
         raise ValueError(f"need 1 <= ell0 <= L, got {ell0}")
-    per = tuple(section_bound(ell, q, grid_points) for ell in range(ell0, L + 1))
+    per = _section_bounds(range(ell0, L + 1), q, grid_points)
     return TailBound(ell0=ell0, per_ell=per,
                      total=min(1.0, sum(b.chosen(policy) for b in per)),
                      policy=policy)
@@ -278,15 +306,14 @@ def min_section_size_rate_for_target(v: float, L: int, rate: float,
 
     def feasible(a: float) -> bool:
         n = a * L * math.log(L) / rate
-        for ell in range(ell0, L + 1):
-            u = _union_log(ell, L, n, v, rate, 0.0)
-            if u <= log_eps:
-                continue
-            s, _, _, _ = _split_eval(ell, L, n, v, rate, 0.0)
-            # compare clamped log probabilities, so epsilon = 1 always passes
-            if min(u, s, 0.0) > log_eps:
-                return False
-        return True
+        u = {ell: _union_log(ell, L, n, v, rate, 0.0) for ell in range(ell0, L + 1)}
+        above = [ell for ell, u_ell in u.items() if u_ell > log_eps]
+        if not above:
+            return True
+        s, _, _, _ = _split_optimize(above, L, n, v, rate, 0.0)
+        # compare clamped log probabilities, so epsilon = 1 always passes
+        return not any(min(u[ell], s_ell, 0.0) > log_eps
+                       for ell, s_ell in zip(above, s.tolist()))
 
     a_lo = 1e-6
     if feasible(a_lo):
@@ -343,14 +370,16 @@ def achievable_rate(v: float, L: int, a: float, epsilon: float,
 
     best = AchievableRate(0.0, 0.0, 0.0, 1.0, B, math.inf)
     rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
-    for rate in rates:
-        n = log_n_bits / rate
-        chosen_logs = []
-        for ell in range(1, L + 1):
-            s, _, _, _ = _split_eval(ell, L, n, v, rate, 0.0, grid_points)
-            if policy == "min":
-                s = min(s, _union_log(ell, L, n, v, rate, 0.0))
-            chosen_logs.append(s)
+    ns = log_n_bits / rates
+    ells = np.arange(1, L + 1)
+    split_logs, _, _, _ = _split_optimize(np.tile(ells, rates.size), L,
+                                          np.repeat(ns, L), v,
+                                          np.repeat(rates, L), 0.0, grid_points)
+    for rate, n, row in zip(rates, ns, split_logs.reshape(rates.size, L).tolist()):
+        chosen_logs = row
+        if policy == "min":
+            chosen_logs = [min(s, _union_log(ell, L, n, v, rate, 0.0))
+                           for ell, s in zip(range(1, L + 1), row)]
         probs = np.exp(np.minimum(chosen_logs, 0.0))
         tails = np.minimum(1.0, np.cumsum(probs[::-1])[::-1])
         for ell0 in range(1, ell0_max + 1):

@@ -2,7 +2,8 @@
 
 Rates at the boundary default to bits (use --units nats to switch); all
 internal computation is in nats.  A flat key=value config file can seed any
-flag; explicit command-line flags override file values.
+flag of the subcommand; explicit command-line flags override file values,
+and a key that is not such a flag is an error.
 """
 
 from __future__ import annotations
@@ -255,6 +256,11 @@ def _cmd_compose_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="sparclab",
         description="Sparse superposition codes: bounds, curves, simulation")
@@ -296,18 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors", type=int, help="section errors to inject")
     p.set_defaults(func=_cmd_compose_demo)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = _build_parsers()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        for key, value in load_config(args.config).items():
-            flag = "--" + key.replace("_", "-")
-            if hasattr(args, key) and flag not in argv:
-                setattr(args, key, value)
+    if args.config:
+        # file values become the subcommand's defaults, so a flag given on the
+        # command line wins in any spelling (--snr 20 or --snr=20)
+        values = load_config(args.config)
+        sub = commands[args.command]
+        flags = set(vars(args)) - {"command", "func", "config"}
+        unknown = sorted(set(values) - flags)
+        if unknown:
+            sub.error(f"config file {args.config} has keys that are not flags of "
+                      f"'{args.command}': {', '.join(unknown)}")
+        sub.set_defaults(**values)
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

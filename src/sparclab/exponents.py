@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Branch(enum.Enum):
     """Which regime produced an exponent value."""
@@ -93,6 +95,48 @@ def capped_deviation_exponent(delta: float, spread: float) -> ExponentResult:
                               Branch.CLAMPED_AT_ONE)
     value, _ = _exponent_from_ratio(4.0 * delta * delta / spread)
     return ExponentResult(value, lam, Branch.INTERIOR)
+
+
+def _exponent_array(delta, spread):
+    """Array form of deviation_exponent(delta, spread).value.
+
+    Elementwise over broadcast arrays; nonpositive gaps give zero.  Agrees
+    with the scalar form up to the last bits of log1p (numpy's, not math's).
+    """
+    d = np.maximum(delta, 0.0)
+    zero = spread == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 4.0 * d * d / spread
+        gamma = q / (np.sqrt(1.0 + q) + 1.0)
+        value = 0.5 * (gamma - np.log1p(0.5 * gamma))
+    if np.any(zero):
+        value = np.where(zero, np.where(d > 0.0, math.inf, 0.0), value)
+    return value
+
+
+def _capped_exponent_array(delta, spread, clamp_offset=None):
+    """Array form of capped_deviation_exponent(delta, spread).value.
+
+    Elementwise over broadcast arrays; nonpositive gaps give zero and zero
+    spread gives the gap itself.  ``clamp_offset`` is (1/2)ln(1 - spread) on
+    spread's shape; it defaults to math.log1p per element, as the scalar form
+    computes it (np.log1p can differ in the last bit).  At spread 1 the tilt
+    never reaches 1, so the offset there is never used.
+    """
+    d = np.maximum(delta, 0.0)
+    spread = np.asarray(spread, dtype=np.float64)
+    if clamp_offset is None:
+        clamp_offset = np.array([0.5 * math.log1p(-s) if s < 1.0 else -math.inf
+                                 for s in spread.flat]).reshape(spread.shape)
+    zero = spread == 0.0
+    safe = np.where(zero, 1.0, spread)
+    q = 4.0 * d * d / safe
+    root = np.sqrt(1.0 + q)
+    lam = 2.0 * d / (safe * (1.0 + root))
+    gamma = q / (root + 1.0)
+    interior = 0.5 * (gamma - np.log1p(0.5 * gamma))
+    value = np.where(lam >= 1.0, d + clamp_offset, interior)
+    return np.where(zero, d, value)
 
 
 def _bisect_increasing(f, target: float, hi0: float) -> float:

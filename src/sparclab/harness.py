@@ -33,7 +33,7 @@ from .geometry import (
     section_size_rate_finite,
     section_size_rate_limit,
 )
-from .bounds import min_section_size_rate_for_target, section_bound
+from .bounds import min_section_size_rate_for_target
 from .rs import Field, RSSpec, compose_decode, compose_encode
 from .stats import wilson_upper
 
@@ -65,6 +65,7 @@ class ExperimentConfig:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if any(not 1 <= e <= self.L for e in self.ell0_list):
             raise ValueError("ell0 values must lie in [1, L]")
+        self.rs_spec()   # an infeasible outer code fails here, not in a worker
 
     @property
     def channel(self) -> ChannelSpec:
@@ -219,11 +220,9 @@ def bounds_table(channel: ChannelSpec, code: CodeSpec, t: float = 0.0):
     q = BoundQuery(channel=channel, code=code, t=t)
     header = ["v", "L", "B", "rate_bits", "t", "ell", "alpha",
               "union_bound", "split_bound", "chosen", "t_alpha_opt"]
-    rows = []
-    for ell in range(1, code.L + 1):
-        b = section_bound(ell, q)
-        rows.append([channel.snr, code.L, code.B, code.rate / LN2, t, ell,
-                     b.alpha, b.union_prob, b.split_prob, b.chosen(), b.t_alpha_opt])
+    rows = [[channel.snr, code.L, code.B, code.rate / LN2, t, b.ell,
+             b.alpha, b.union_prob, b.split_prob, b.chosen(), b.t_alpha_opt]
+            for b in mistake_tail_bound(1, q).per_ell]
     return header, rows
 
 
@@ -257,11 +256,9 @@ def fig2_rows(v: float = 15.0, L: int = 100, B: int = 2 ** 13,
     q = BoundQuery(channel=channel, code=code, t=t)
     header = ["alpha", "ell", "neg_ln_lemma2_main", "neg_ln_lemma2_star",
               "neg_ln_lemma1", "d_n_alpha"]
-    rows = []
-    for ell in range(1, L + 1):
-        b = section_bound(ell, q)
-        rows.append([b.alpha, ell, -b.split_main_log, -b.split_star_log,
-                     -b.union_log, combinatorial_surplus(ell, code, v)])
+    rows = [[b.alpha, b.ell, -b.split_main_log, -b.split_star_log,
+             -b.union_log, combinatorial_surplus(b.ell, code, v)]
+            for b in mistake_tail_bound(1, q).per_ell]
     return header, rows
 
 

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparclab.bounds import (
     BoundQuery,
     InfeasibleError,
+    _split_optimize,
     achievable_rate,
     channel_dispersion,
     min_section_size_rate_for_target,
@@ -26,9 +30,10 @@ from sparclab.geometry import (
     log_binomial,
     partial_capacity,
     spread_direct,
+    spread_refined,
 )
 
-from oracles import q_inverse_bisect
+from oracles import q_inverse_bisect, split_eval, split_terms
 
 
 def fig2_query(t: float = 0.0) -> BoundQuery:
@@ -114,20 +119,16 @@ class TestSplitBound:
         q = fig2_query()
         b = section_bound(20, q)
         L, n, v, rate, t = 100, q.code.n_real, 15.0, q.code.rate, 0.0
-        from sparclab.bounds import _split_eval
+        alpha = 0.2
+        head = partial_capacity(alpha, v) - alpha * rate
+        log_comb = log_binomial(L, 20)
+        s_main = spread_refined(alpha, v)
+        s_star = alpha * alpha * v / (1 + alpha * alpha * v)
         for x in (0.5 * b.t_alpha_opt, 1.3 * b.t_alpha_opt):
-            log_tot, _, _, _ = _split_eval(20, L, n, v, rate, t)
+            log_tot, _, _, _ = split_eval(20, L, n, v, rate, t)
             # the reported optimum is no worse than nearby probes
-            from sparclab.bounds import _split_terms  # noqa: F401
-            import numpy as np
-            from sparclab.geometry import spread_refined
-            alpha = 0.2
-            head = partial_capacity(alpha, v) - alpha * rate
-            log_comb = log_binomial(L, 20)
-            s_main = spread_refined(alpha, v)
-            s_star = alpha * alpha * v / (1 + alpha * alpha * v)
-            m, s = _split_terms(np.array([x]), n, t, log_comb, s_main, s_star,
-                                head - t)
+            m, s = split_terms(np.array([x]), n, t, log_comb, s_main, s_star,
+                               head - t)
             assert log_tot <= float(np.logaddexp(m, s)[0]) + 1e-12
 
 
@@ -228,13 +229,13 @@ class TestMinSectionSizeRate:
     def test_solution_is_feasible_and_marginal(self):
         v, L, rate, alpha0, eps = 15.0, 32, 0.8 * capacity(15.0), 0.125, math.exp(-10)
         a = min_section_size_rate_for_target(v, L, rate, alpha0, eps)
-        from sparclab.bounds import _split_eval, _union_log
+        from sparclab.bounds import _union_log
         for factor, expect in ((1.0, True), (0.98, False)):
             n = factor * a * L * math.log(L) / rate
             ok = True
             for ell in range(4, L + 1):
                 u = _union_log(ell, L, n, v, rate, 0.0)
-                s, _, _, _ = _split_eval(ell, L, n, v, rate, 0.0)
+                s, _, _, _ = split_eval(ell, L, n, v, rate, 0.0)
                 if min(u, s) > math.log(eps):
                     ok = False
                     break
@@ -300,3 +301,76 @@ class TestNormalApproximationRate:
             0.5 * 15 * 17 / 16 ** 2, rel=1e-12)
         with pytest.raises(ValueError):
             channel_dispersion(0.0)
+
+
+def oracle_box(seed: int = 1006, groups: int = 170, per_group: int = 30):
+    """Seeded cells for the optimizer differential test, grouped by (L, v, t).
+
+    L in {2, 3, 5, 10, 37, 100}, v log-uniform on [1e-2, 1e4], n
+    log-uniform on [1, 1e4], t zero or uniform on (0, 0.2), rate between
+    0.05 and 1.2 of capacity; each group holds one ell = L cell.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(groups):
+        L = int(rng.choice([2, 3, 5, 10, 37, 100]))
+        v = float(10.0 ** rng.uniform(-2.0, 4.0))
+        t = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.2))
+        ells = rng.integers(1, L + 1, per_group)
+        ells[0] = L
+        n = 10.0 ** rng.uniform(0.0, 4.0, per_group)
+        rate = rng.uniform(0.05, 1.2, per_group) * capacity(v)
+        yield L, v, t, ells.tolist(), n.tolist(), rate.tolist()
+
+
+class TestSplitOptimizeOracle:
+    """The lockstep optimizer reproduces the per-cell scalar optimizer exactly."""
+
+    def test_bit_identical_on_seeded_box(self):
+        cells = full = no_room = 0
+        for L, v, t, ells, ns, rates in oracle_box():
+            got = _split_optimize(ells, L, ns, v, rates, t)
+            for i, (ell, n, rate) in enumerate(zip(ells, ns, rates)):
+                want = split_eval(ell, L, n, v, rate, t)
+                assert tuple(x[i] for x in got) == want, (ell, L, n, v, rate, t)
+                cells += 1
+                full += ell == L
+                no_room += want == (0.0, t, 0.0, 0.0)
+        assert cells >= 5000
+        assert full >= 170 and no_room >= 100 and cells - no_room >= 3000
+
+    def test_grid_points_and_shared_scalars(self):
+        q = fig2_query(t=0.01)
+        L, n, v, rate, t = 100, q.code.n_real, 15.0, q.code.rate, 0.01
+        for grid_points in (1, 2, 7, 256):
+            got = _split_optimize(range(1, L + 1), L, n, v, rate, t, grid_points)
+            for ell in range(1, L + 1):
+                assert tuple(x[ell - 1] for x in got) == split_eval(
+                    ell, L, n, v, rate, t, grid_points)
+
+    def test_empty_and_all_without_room(self):
+        assert all(x.size == 0 for x in _split_optimize([], 5, 10.0, 15.0, 1.0, 0.0))
+        got = _split_optimize([1, 5], 5, 10.0, 15.0, 10.0, 0.0)
+        assert [x.tolist() for x in got] == [[0.0, 0.0], [0.0, 0.0],
+                                             [0.0, 0.0], [0.0, 0.0]]
+
+
+class TestSplitOptimizeProperties:
+    """The clamped split bound is a probability that shrinks as n grows."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(L=st.sampled_from([2, 3, 5, 10, 37]), data=st.data(),
+           log_v=st.floats(-2.0, 4.0), fraction=st.floats(0.05, 1.2),
+           t=st.one_of(st.just(0.0), st.floats(1e-9, 0.2)),
+           log_n=st.floats(0.0, 4.0), growth=st.floats(1.0, 100.0))
+    def test_clamped_bound_in_unit_interval_and_nonincreasing_in_n(
+            self, L, data, log_v, fraction, t, log_n, growth):
+        ell = data.draw(st.integers(1, L))
+        v = 10.0 ** log_v
+        n = 10.0 ** log_n
+        logs, _, _, _ = _split_optimize([ell, ell], L, [n, n * growth], v,
+                                        fraction * capacity(v), t)
+        short, long = (min(1.0, math.exp(min(0.0, x))) for x in logs.tolist())
+        assert 0.0 <= long <= 1.0 and 0.0 <= short <= 1.0
+        # the grid does not depend on n, so only the refinement's last bits
+        # can reorder two nearly equal optima
+        assert long <= short * (1.0 + 1e-9)

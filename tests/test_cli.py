@@ -84,6 +84,28 @@ class TestConfigFile:
         out2 = capsys.readouterr().out
         assert out2.count("\n") == 3  # flag overrides file
 
+    @pytest.mark.parametrize("flag", [["--snr=20"], ["--snr", "20"]])
+    def test_flag_beats_config_in_either_spelling(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("snr = 5\nL = 3\nB = 4\nrate_fraction = 0.5\n")
+        assert run_cli(["bounds", "--config", str(cfg), *flag]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == ["20", "20", "20"]
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("snrr = 5\nL = 3\nB = 4\nrate_fraction = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bounds", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "snrr" in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_rejected(self, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("L = 3\nB = 4\nrate_fraction = 0.5\nrs_distance = 3\n")
+        with pytest.raises(SystemExit):
+            run_cli(["bounds", "--config", str(cfg)])
+
     def test_load_config_parses_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("snr=15.5\nL=4\nsigned=true\nell0_list=1,2\n")

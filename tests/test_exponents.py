@@ -7,6 +7,8 @@ import pytest
 
 from sparclab.exponents import (
     Branch,
+    _capped_exponent_array,
+    _exponent_array,
     capped_deviation_exponent,
     chi_square_exponent,
     deviation_exponent,
@@ -217,3 +219,55 @@ class TestTestStatisticCgf:
         spread = alpha * v / (1.0 + alpha * v)
         assert max(vals) == pytest.approx(
             capped_deviation_exponent(delta, spread).value, abs=1e-6)
+
+
+class TestArrayForms:
+    """The array forms the bound engine uses agree with the scalar API."""
+
+    @staticmethod
+    def grid():
+        spreads = np.array([0.0, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0])
+        deltas = [0.0, 1e-8, 0.01, 0.2, 1.0, 5.0, 50.0]
+        cells = [(d, s) for s in spreads for d in deltas]
+        # the tilt = 1 boundary gap spread/(1 - spread), and either side of it
+        for s in spreads[(spreads > 0.0) & (spreads < 1.0)]:
+            edge = s / (1.0 - s)
+            cells += [(edge, s), (edge * (1 - 1e-12), s), (edge * (1 + 1e-12), s)]
+        delta, spread = (np.array(x) for x in zip(*cells))
+        return delta, spread
+
+    @staticmethod
+    def assert_agree(got, want):
+        for g, w in zip(got.tolist(), want):
+            if math.isinf(w) or w == 0.0:
+                assert g == w
+            else:
+                assert g == pytest.approx(w, rel=1e-14)
+
+    def test_capped_matches_scalar(self):
+        delta, spread = self.grid()
+        want = [capped_deviation_exponent(d, s).value
+                for d, s in zip(delta.tolist(), spread.tolist())]
+        self.assert_agree(_capped_exponent_array(delta, spread), want)
+
+    def test_unrestricted_matches_scalar(self):
+        delta, spread = self.grid()
+        want = [deviation_exponent(d, s).value
+                for d, s in zip(delta.tolist(), spread.tolist())]
+        self.assert_agree(_exponent_array(delta, spread), want)
+
+    def test_branch_choice_matches_scalar_at_tilt_one(self):
+        # on the boundary grid the clamped branch is taken exactly where the
+        # scalar form reports CLAMPED_AT_ONE, with the same math.log1p offset
+        delta, spread = self.grid()
+        for d, s in zip(delta.tolist(), spread.tolist()):
+            if 0.0 < s < 1.0 and d > 0.0:
+                r = capped_deviation_exponent(d, s)
+                got = float(_capped_exponent_array(np.array([d]), np.array([s]))[0])
+                if r.branch is Branch.CLAMPED_AT_ONE:
+                    assert got == r.value
+
+    def test_negative_gap_is_zero(self):
+        d = np.array([-1.0, -1e-9])
+        assert _exponent_array(d, np.array([0.5, 0.0])).tolist() == [0.0, 0.0]
+        assert _capped_exponent_array(d, np.array([0.5, 0.0])).tolist() == [0.0, 0.0]

@@ -35,6 +35,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             mini_config(ell0_list=(0,))
 
+    @pytest.mark.parametrize("L, B", [(9, 8), (3, 6)])
+    def test_infeasible_outer_code_rejected_at_construction(self, L, B):
+        # RS over GF(8) has length at most 7; B = 6 is not a field size
+        with pytest.raises(ValueError):
+            mini_config(L=L, B=B, rs_distance=3, ell0_list=(1,))
+
     def test_derived_objects(self):
         cfg = mini_config()
         assert cfg.channel.snr == 15.0
