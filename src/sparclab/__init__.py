@@ -88,6 +88,7 @@ from .harness import (
 from .rs import (
     Field,
     FieldSpec,
+    RSDecodeReason,
     RSDecodeResult,
     RSSpec,
     compose_decode,

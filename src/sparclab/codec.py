@@ -20,6 +20,7 @@ from .geometry import ChannelSpec, CodeSpec
 from .normal import standard_normal_from_uniform
 
 DEFAULT_ENUMERATION_CAP = 20_000_000
+# Most floats in one block of decoder scores (perfbench/layers.py reads it).
 _SUFFIX_BLOCK_TARGET = 65_536
 
 
@@ -197,16 +198,6 @@ def awgn_channel(codeword: np.ndarray, sigma2: float, seed) -> np.ndarray:
     return codeword + math.sqrt(sigma2) * _seeded_normals(codeword.shape, seed)
 
 
-def _symbol_block(dic: Dictionary, section: int, signed: bool) -> np.ndarray:
-    """(S, n) candidate contributions of one section, in code-point order.
-
-    Code point p < B selects column p with sign +1; p >= B selects column
-    p - B negated.  This fixes the lexicographic order used for tie-breaks.
-    """
-    cols = dic.section(section).T
-    return np.vstack([cols, -cols]) if signed else cols
-
-
 def _rank_to_coefficients(rank: int, L: int, B: int, signed: bool) -> SparseCoefficients:
     base = 2 * B if signed else B
     points = []
@@ -228,6 +219,30 @@ def count_mistakes(decoded: SparseCoefficients, truth: SparseCoefficients) -> in
                if a != b or sa != sb)
 
 
+def _partial_codewords(atoms: np.ndarray, sections) -> np.ndarray:
+    """Every partial codeword of the given sections, in code-point order.
+
+    Row r sums, in section order, the contributions whose code points spell
+    r in base atoms.shape[1], the first section most significant.
+    """
+    n = atoms.shape[2]
+    table = np.zeros((1, n))
+    for sec in sections:
+        table = (table[:, None, :] + atoms[sec][None, :, :]).reshape(-1, n)
+    return table
+
+
+def _direct_rss(atoms: np.ndarray, y: np.ndarray, points) -> np.ndarray:
+    """sum((y - c)^2) per candidate, with c summed in section order.
+
+    points[sec] holds every candidate's code point in section sec.
+    """
+    c = atoms[0, points[0]]
+    for sec in range(1, atoms.shape[0]):
+        c = c + atoms[sec, points[sec]]
+    return np.sum((y - c) ** 2, axis=1)
+
+
 def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
                       delta0: float = 0.0,
                       truth: SparseCoefficients | None = None,
@@ -235,11 +250,18 @@ def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> DecodeResult:
     """Global least-squares search over every admissible coefficient vector.
 
-    Scans candidates in lexicographic code-point order, so exact ties
-    resolve to the lowest index sequence.  With early_exit and a supplied
-    truth, returns the first candidate whose residual is within delta0 of
-    the truth's residual (modeling an approximate solver); otherwise the
-    exact argmin, which achieves the delta0 = 0 guarantee.
+    Meet in the middle: each candidate is c = a + b, with a a partial
+    codeword of the first L // 2 sections and b one of the rest, and its
+    residual |y - c|^2 = |y - a|^2 + |b|^2 - 2 (y - a).b comes from one
+    matrix product over blocks of head rows.  Those scores round
+    differently from a direct residual, so every candidate within a
+    rounding slack of the smallest score is re-scored directly, and the
+    result is the exact minimum of the direct residuals; exact ties resolve
+    to the lowest lexicographic code-point sequence.  With early_exit and a
+    supplied truth, the search stops after the first block whose confirmed
+    best residual is within delta0 of the truth's (modeling an approximate
+    solver); otherwise it returns the exact argmin, which achieves the
+    delta0 = 0 guarantee.
     """
     if delta0 < 0:
         raise ValueError(f"tolerance must be nonnegative, got {delta0}")
@@ -253,47 +275,53 @@ def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
             f"{total} candidates exceed the enumeration cap {cap}")
 
     y = np.asarray(y, dtype=np.float64)
-    n = dic.n
-    base = 2 * code.B if code.signed else code.B
-    L = code.L
+    n, L = dic.n, code.L
+    # atoms[sec, p] is the contribution of code point p in section sec: p < B
+    # selects column p with sign +1, p >= B column p - B negated.  This fixes
+    # the lexicographic order used for tie-breaks.
+    cols = dic.entries.T.reshape(L, code.B, n)
+    atoms = np.concatenate([cols, -cols], axis=1) if code.signed else cols
+    base = atoms.shape[1]
 
-    # Split sections into a small prefix loop and a vectorized suffix table.
-    j = 1
-    while j < L and base ** (j + 1) <= _SUFFIX_BLOCK_TARGET:
-        j += 1
-    suffix = _symbol_block(dic, L - j, code.signed)
-    for sec in range(L - j + 1, L):
-        block = _symbol_block(dic, sec, code.signed)
-        suffix = (suffix[:, None, :] + block[None, :, :]).reshape(-1, n)
-
-    prefix_sections = L - j
-    prefix_count = base ** prefix_sections
     stop_rss = None
     if truth is not None:
-        truth_rss = float(np.sum((y - synthesize(dic, truth)) ** 2))
-        stop_rss = truth_rss + delta0 * n
+        if truth.L != L or max(truth.indices) >= code.B:
+            raise ValueError("coefficients do not match the dictionary layout")
+        sent = [[j + code.B if s < 0 else j] for j, s in zip(truth.indices, truth.signs)]
+        stop_rss = float(_direct_rss(atoms, y, sent)[0]) + delta0 * n
 
-    best_rss = math.inf
+    # Candidate rank = head_rank * len(tail) + tail_rank.  The score is the
+    # inner product of the rows [-2 (y - a), |y - a|^2, 1] and [b, 1, |b|^2].
+    head = y - _partial_codewords(atoms, range(L // 2))
+    tail = _partial_codewords(atoms, range(L // 2, L))
+    head_aug = np.column_stack([-2.0 * head, np.einsum("ij,ij->i", head, head),
+                                np.ones(len(head))])
+    tail_aug = np.column_stack([tail, np.ones(len(tail)),
+                                np.einsum("ij,ij->i", tail, tail)])
+    # Every |y - a|, |b| and |y - c| is at most sqrt(scale), so either form
+    # of a score is within a few (n + L) * eps * scale of the exact value;
+    # the slack keeps every exact minimiser among the re-scored candidates.
+    largest_atoms = np.sqrt(np.max(np.einsum("spi,spi->sp", atoms, atoms), axis=1))
+    scale = (math.sqrt(y @ y) + float(largest_atoms.sum())) ** 2
+    slack = 8.0 * (n + L) * np.finfo(np.float64).eps * scale
+
+    rows = max(1, _SUFFIX_BLOCK_TARGET // len(tail))
+    scores = np.empty((min(rows, len(head)), len(tail)))
+    approx_min = best_rss = math.inf
     best_rank = -1
     stopped = False
-    for p in range(prefix_count):
-        shift = np.zeros(n)
-        rank = p
-        digits = []
-        for _ in range(prefix_sections):
-            digits.append(rank % base)
-            rank //= base
-        digits.reverse()
-        for sec, point in enumerate(digits):
-            col = dic.column(sec, point % code.B)
-            shift = shift + (-col if point >= code.B else col)
-        z = (y - shift)[None, :] - suffix
-        rss = np.einsum("ij,ij->i", z, z)
-        local = int(np.argmin(rss))
-        if rss[local] < best_rss:
-            best_rss = float(rss[local])
-            best_rank = p * suffix.shape[0] + local
-        if early_exit and stop_rss is not None and best_rss <= stop_rss:
+    for start in range(0, len(head), rows):
+        block = scores[:min(rows, len(head) - start)]
+        np.matmul(head_aug[start:start + rows], tail_aug.T, out=block)
+        low = float(block.min())
+        if low <= approx_min + slack:
+            approx_min = min(approx_min, low)
+            ranks = start * len(tail) + np.flatnonzero(block <= approx_min + slack)
+            rss = _direct_rss(atoms, y, np.unravel_index(ranks, (base,) * L))
+            k = int(np.argmin(rss))
+            if rss[k] < best_rss:
+                best_rss, best_rank = float(rss[k]), int(ranks[k])
+        if early_exit and best_rss <= stop_rss:
             stopped = True
             break
 

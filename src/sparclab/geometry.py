@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .exponents import capped_deviation_exponent, inverse_deviation_exponent, optimal_tilt
+from .exponents import capped_deviation_exponent, optimal_tilt
 
 LN2 = math.log(2.0)
 
@@ -206,24 +206,6 @@ def min_gap(ell: int, L: int, n_real: float, v: float) -> float:
         slope = n_real * min(1.0, optimal_tilt(x, s)) if x > 0 else n_real
         x -= (f(x) - target) / slope
     return x
-
-
-def min_gap_branch_formula(ell: int, L: int, n_real: float, v: float) -> float:
-    """Closed-form value of the same gap via the inverse exponent.
-
-    Uses the scaled inverse while the implied tilt stays below one, and the
-    clamped-branch linear solution beyond.  Serves as a cross-check for
-    min_gap, not as the production path.
-    """
-    if not 1 <= ell <= L - 1:
-        raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}, L={L}")
-    r = combinatorial_rate(ell, L, n_real)
-    s = spread_refined(ell / L, v)
-    g = inverse_deviation_exponent(r)
-    rho_sq = 1.0 - s
-    if g < math.sqrt(s) / rho_sq:
-        return math.sqrt(s) * g
-    return r - 0.5 * math.log(rho_sq)
 
 
 def shape_exponent(ell: int, L: int, v: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +152,9 @@ def _run_trial(config: ExperimentConfig, index: int) -> TrialResult:
 def run_monte_carlo(config: ExperimentConfig) -> MCReport:
     """Run the configured trials and compare empirical tails to the bounds.
 
-    The enumeration-cap feasibility check runs before any trial.  The power
-    report is computed on the trial-0 dictionary stream.
+    The enumeration-cap feasibility check runs before any trial.  Trials
+    run on min(workers, trials, cpu count) threads.  The power report is
+    computed on the trial-0 dictionary stream.
     """
     total = config.code.candidate_count()
     if total > config.enumeration_cap:
@@ -161,10 +163,11 @@ def run_monte_carlo(config: ExperimentConfig) -> MCReport:
             f"{config.enumeration_cap}; refusing to launch")
 
     indices = range(config.trials)
-    if config.workers == 1:
+    workers = min(config.workers, config.trials, os.cpu_count() or 1)
+    if workers == 1:
         trials = [_run_trial(config, i) for i in indices]
     else:
-        with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             futures = {i: pool.submit(_run_trial, config, i) for i in indices}
             trials = [futures[i].result() for i in indices]
 

@@ -10,6 +10,7 @@ labels of an inner superposition code with B = 2^m.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from .codec import SparseCoefficients
@@ -126,11 +127,23 @@ class FieldSpec:
         return Field(self.m, self.primitive_polynomial)
 
 
+class RSDecodeReason(str, enum.Enum):
+    """Why rs_decode returned what it did: ok, or the check that rejected the word."""
+
+    OK = "ok"
+    LOCATOR_DEGREE = "locator_degree"          # degree 0 or above t_RS
+    ROOT_COUNT = "root_count"                  # Chien roots != locator degree
+    ROOT_IN_PADDING = "root_in_padding"        # error inside the shortening
+    FORNEY_DENOMINATOR = "forney_denominator"  # zero locator derivative
+    RESIDUAL_SYNDROME = "residual_syndrome"    # corrected word not a codeword
+
+
 @dataclass(frozen=True)
 class RSDecodeResult:
     ok: bool
     message: tuple[int, ...]
     corrected_count: int
+    reason: RSDecodeReason = RSDecodeReason.OK
 
 
 class RSSpec:
@@ -254,7 +267,7 @@ def rs_decode(received, spec: RSSpec) -> RSDecodeResult:
     lam = _berlekamp_massey(synd, f)
     n_err = len(lam) - 1
     if n_err == 0 or n_err > spec.t_RS:
-        return RSDecodeResult(False, fallback, 0)
+        return RSDecodeResult(False, fallback, 0, RSDecodeReason.LOCATOR_DEGREE)
 
     # Chien search: locator alpha^j marks list position n-1-j.
     positions = []
@@ -262,10 +275,10 @@ def rs_decode(received, spec: RSSpec) -> RSDecodeResult:
         if f.poly_eval(lam, f.pow_alpha(-j)) == 0:
             positions.append(n - 1 - j)
     if len(positions) != n_err:
-        return RSDecodeResult(False, fallback, 0)
+        return RSDecodeResult(False, fallback, 0, RSDecodeReason.ROOT_COUNT)
     if any(p < spec.shortening for p in positions):
         # error located inside the zero padding: not a correctable word
-        return RSDecodeResult(False, fallback, 0)
+        return RSDecodeResult(False, fallback, 0, RSDecodeReason.ROOT_IN_PADDING)
 
     # Forney values with first consecutive root alpha^0.
     omega = f.poly_mul(synd, lam)[:spec.d_RS - 1]
@@ -279,11 +292,11 @@ def rs_decode(received, spec: RSSpec) -> RSDecodeResult:
         for k, c in enumerate(lam_deriv):
             den ^= f.mul(c, f.pow_alpha((2 * k * f._log[x_inv]) % (f.q - 1))) if c else 0
         if den == 0:
-            return RSDecodeResult(False, fallback, 0)
+            return RSDecodeResult(False, fallback, 0, RSDecodeReason.FORNEY_DENOMINATOR)
         corrected[p] ^= f.mul(x, f.mul(num, f.inv(den)))
 
     if any(_syndromes(corrected, spec)):
-        return RSDecodeResult(False, fallback, 0)
+        return RSDecodeResult(False, fallback, 0, RSDecodeReason.RESIDUAL_SYNDROME)
     message = tuple(corrected[spec.shortening:spec.shortening + spec.K_out])
     return RSDecodeResult(True, message, n_err)
 

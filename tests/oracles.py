@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's closed forms: exponents come from
 dense tilt grids, quantiles from bisection on erfc, decoders from plain
-itertools enumeration.  The one exception is the split-bound optimizer
-below: it is the slow per-cell path that the lockstep array optimizer in
-``sparclab.bounds`` replaced, kept unchanged as the reference that one must
-match bit for bit.  Production code never imports this module.
+itertools enumeration.  Two exceptions are slow paths that a fast one
+replaced, kept unchanged as references: the per-cell split-bound optimizer
+(the lockstep array optimizer in ``sparclab.bounds`` must match it bit for
+bit) and the prefix/suffix-table exhaustive decoder (the meet-in-the-middle
+``sparclab.codec.decode_exhaustive`` must pick the same coefficients).
+Production code never imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,25 @@ import math
 
 import numpy as np
 
-from sparclab.geometry import log_binomial, partial_capacity, spread_refined
+from sparclab.codec import (
+    _SUFFIX_BLOCK_TARGET,
+    DEFAULT_ENUMERATION_CAP,
+    DecodeResult,
+    Dictionary,
+    EnumerationCapError,
+    SparseCoefficients,
+    _rank_to_coefficients,
+    count_mistakes,
+    synthesize,
+)
+from sparclab.exponents import inverse_deviation_exponent
+from sparclab.geometry import (
+    CodeSpec,
+    combinatorial_rate,
+    log_binomial,
+    partial_capacity,
+    spread_refined,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,6 +60,24 @@ def q_inverse_bisect(eps: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def min_gap_branch_formula(ell: int, L: int, n_real: float, v: float) -> float:
+    """Closed-form value of sparclab.geometry.min_gap via the inverse exponent.
+
+    Uses the scaled inverse while the implied tilt stays below one, and the
+    clamped-branch linear solution beyond; the library finds the same gap
+    by bisection on the capped exponent.
+    """
+    if not 1 <= ell <= L - 1:
+        raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}, L={L}")
+    r = combinatorial_rate(ell, L, n_real)
+    s = spread_refined(ell / L, v)
+    g = inverse_deviation_exponent(r)
+    rho_sq = 1.0 - s
+    if g < math.sqrt(s) / rho_sq:
+        return math.sqrt(s) * g
+    return r - 0.5 * math.log(rho_sq)
 
 
 def brute_force_decode(X: np.ndarray, y: np.ndarray, L: int, B: int,
@@ -143,3 +181,92 @@ def split_eval(ell: int, L: int, n: float, v: float, rate: float, t: float,
         x_opt = float(xs[j])
     m, s = split_terms(np.array([x_opt]), n, t, log_comb, s_main, s_star, room)
     return float(np.logaddexp(m, s)[0]), float(x_opt), float(m[0]), float(s[0])
+
+
+def _symbol_block(dic: Dictionary, section: int, signed: bool) -> np.ndarray:
+    """(S, n) candidate contributions of one section, in code-point order.
+
+    Code point p < B selects column p with sign +1; p >= B selects column
+    p - B negated.  This fixes the lexicographic order used for tie-breaks.
+    """
+    cols = dic.section(section).T
+    return np.vstack([cols, -cols]) if signed else cols
+
+
+def suffix_table_decode(dic: Dictionary, y: np.ndarray, code: CodeSpec,
+                        delta0: float = 0.0,
+                        truth: SparseCoefficients | None = None,
+                        early_exit: bool = False,
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> DecodeResult:
+    """Global least-squares search over every admissible coefficient vector.
+
+    Scans candidates in lexicographic code-point order, so exact ties
+    resolve to the lowest index sequence.  With early_exit and a supplied
+    truth, returns the first candidate whose residual is within delta0 of
+    the truth's residual (modeling an approximate solver); otherwise the
+    exact argmin, which achieves the delta0 = 0 guarantee.
+    """
+    if delta0 < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {delta0}")
+    if code.L != dic.L or code.B != dic.B:
+        raise ValueError("code and dictionary disagree on the layout")
+    if early_exit and truth is None:
+        raise ValueError("early_exit requires the true coefficients")
+    total = code.candidate_count()
+    if total > cap:
+        raise EnumerationCapError(
+            f"{total} candidates exceed the enumeration cap {cap}")
+
+    y = np.asarray(y, dtype=np.float64)
+    n = dic.n
+    base = 2 * code.B if code.signed else code.B
+    L = code.L
+
+    # Split sections into a small prefix loop and a vectorized suffix table.
+    j = 1
+    while j < L and base ** (j + 1) <= _SUFFIX_BLOCK_TARGET:
+        j += 1
+    suffix = _symbol_block(dic, L - j, code.signed)
+    for sec in range(L - j + 1, L):
+        block = _symbol_block(dic, sec, code.signed)
+        suffix = (suffix[:, None, :] + block[None, :, :]).reshape(-1, n)
+
+    prefix_sections = L - j
+    prefix_count = base ** prefix_sections
+    stop_rss = None
+    if truth is not None:
+        truth_rss = float(np.sum((y - synthesize(dic, truth)) ** 2))
+        stop_rss = truth_rss + delta0 * n
+
+    best_rss = math.inf
+    best_rank = -1
+    stopped = False
+    for p in range(prefix_count):
+        shift = np.zeros(n)
+        rank = p
+        digits = []
+        for _ in range(prefix_sections):
+            digits.append(rank % base)
+            rank //= base
+        digits.reverse()
+        for sec, point in enumerate(digits):
+            col = dic.column(sec, point % code.B)
+            shift = shift + (-col if point >= code.B else col)
+        z = (y - shift)[None, :] - suffix
+        rss = np.einsum("ij,ij->i", z, z)
+        local = int(np.argmin(rss))
+        if rss[local] < best_rss:
+            best_rss = float(rss[local])
+            best_rank = p * suffix.shape[0] + local
+        if early_exit and stop_rss is not None and best_rss <= stop_rss:
+            stopped = True
+            break
+
+    coeffs = _rank_to_coefficients(best_rank, L, code.B, code.signed)
+    return DecodeResult(
+        coefficients=coeffs,
+        residual_sq=best_rss / n,
+        delta0_used=delta0,
+        mistakes=None if truth is None else count_mistakes(coeffs, truth),
+        early_exit=stopped,
+    )

@@ -23,7 +23,7 @@ from sparclab.codec import (
 from sparclab.exponents import inverse_chi_square_exponent
 from sparclab.geometry import ChannelSpec, CodeSpec
 
-from oracles import brute_force_decode
+from oracles import brute_force_decode, suffix_table_decode
 
 CH15 = ChannelSpec.from_snr(15.0)
 
@@ -254,6 +254,111 @@ class TestDecodeExhaustive:
         y = synthesize(d, truth)
         res = decode_exhaustive(d, y, code, truth=truth)
         assert res.mistakes == 0
+
+
+def _random_truth(rng, L: int, B: int, signed: bool) -> SparseCoefficients:
+    signs = rng.choice([-1, 1], L) if signed else np.ones(L, dtype=int)
+    return SparseCoefficients(tuple(int(i) for i in rng.integers(0, B, L)),
+                              tuple(int(s) for s in signs))
+
+
+def _with_duplicates(d: Dictionary) -> Dictionary:
+    """Column B - 1 of every section repeats column 0: exact residual ties."""
+    ent = d.entries.copy()
+    for sec in range(d.L):
+        ent[:, sec * d.B + d.B - 1] = ent[:, sec * d.B]
+    return Dictionary(entries=ent, L=d.L, B=d.B, entry_variance=d.entry_variance)
+
+
+class TestSuffixTableOracle:
+    """The meet-in-the-middle decoder against the prefix/suffix-table one it replaced."""
+
+    # (L, B, signed): odd and even L, B = 3 (not a power of two), and two
+    # codes of more than 65,536 candidates, which both decoders scan in
+    # several blocks.
+    CODES = [(L, 3, False) for L in range(1, 7)] + \
+        [(L, 3, True) for L in range(1, 6)] + \
+        [(2, 4, True), (3, 8, False), (6, 8, False), (4, 16, True)]
+
+    @staticmethod
+    def assert_same(d, y, code, **kw):
+        got = decode_exhaustive(d, y, code, **kw)
+        ref = suffix_table_decode(d, y, code, **kw)
+        assert got.coefficients == ref.coefficients
+        assert got.mistakes == ref.mistakes
+        assert got.residual_sq == pytest.approx(ref.residual_sq, rel=0, abs=1e-12)
+        return got, ref
+
+    @pytest.mark.parametrize("L,B,signed", CODES)
+    def test_noisy_and_noiseless(self, L, B, signed):
+        code = CodeSpec(L=L, B=B, rate=0.6, signed=signed)
+        trials = 2 if code.candidate_count() > 65_536 else 6
+        for seed in range(trials):
+            d = generate_dictionary(code, CH15, 40 + seed)
+            rng = np.random.default_rng(700 + seed)
+            truth = _random_truth(rng, L, B, signed)
+            x = synthesize(d, truth)
+            # noise at a third of the signal power makes some decodes wrong
+            for sigma2 in (0.0, 5.0):
+                y = awgn_channel(x, sigma2, 900 + seed)
+                self.assert_same(d, y, code)
+                self.assert_same(d, y, code, truth=truth)
+
+    @pytest.mark.parametrize("L,B,signed", CODES)
+    def test_duplicated_columns_tie_to_lowest_index(self, L, B, signed):
+        code = CodeSpec(L=L, B=B, rate=0.6, signed=signed)
+        d = _with_duplicates(generate_dictionary(code, CH15, 5))
+        signs = _random_truth(np.random.default_rng(11), L, B, signed).signs
+        truth = SparseCoefficients((B - 1,) * L, signs)
+        y = synthesize(d, truth)
+        got, _ = self.assert_same(d, y, code, truth=truth)
+        assert got.coefficients == SparseCoefficients((0,) * L, truth.signs)
+        assert got.mistakes == L
+        self.assert_same(d, awgn_channel(y, 5.0, 12), code, truth=truth)
+
+    @pytest.mark.parametrize("L,B,signed", [c for c in CODES if c[0] > 1])
+    def test_swapped_sections_tie_to_lowest_index(self, L, B, signed):
+        # Section 1 holds the columns of section 0 in reverse order, so
+        # candidates (i, j, ...) and (B-1-j, B-1-i, ...) have bitwise equal
+        # codewords; the score form rounds the two differently, and only
+        # the direct re-score sees the exact tie.
+        code = CodeSpec(L=L, B=B, rate=0.6, signed=signed)
+        for seed in range(4):
+            d = generate_dictionary(code, CH15, 60 + seed)
+            ent = d.entries.copy()
+            ent[:, B:2 * B] = ent[:, B - 1::-1]
+            d = Dictionary(entries=ent, L=L, B=B, entry_variance=d.entry_variance)
+            truth = _random_truth(np.random.default_rng(seed), L, B, signed)
+            y = awgn_channel(synthesize(d, truth), 5.0, 80 + seed)
+            if code.candidate_count() <= 65_536:
+                # one table holds every candidate, so the replaced decoder
+                # also sums both partners in section order
+                self.assert_same(d, y, code)
+            # the partner is an exact minimum too, so it cannot rank lower
+            got = decode_exhaustive(d, y, code).coefficients
+            p0, p1 = (j + B if s < 0 else j
+                      for j, s in zip(got.indices[:2], got.signs[:2]))
+            partner = (B - 1 - p1 % B + p1 // B * B, B - 1 - p0 % B + p0 // B * B)
+            assert (p0, p1) <= partner
+
+    @pytest.mark.parametrize("L,B,signed", CODES)
+    def test_early_exit(self, L, B, signed):
+        code = CodeSpec(L=L, B=B, rate=0.6, signed=signed)
+        d = generate_dictionary(code, CH15, 77)
+        rng = np.random.default_rng(78)
+        truth = _random_truth(rng, L, B, signed)
+        x = synthesize(d, truth)
+        if code.candidate_count() <= 65_536:
+            # One block holds every candidate in both decoders, so both
+            # stop after it with the global minimum, whatever delta0 is.
+            y = awgn_channel(x, 5.0, 79)
+            for delta0 in (0.5, 50.0):
+                got, ref = self.assert_same(d, y, code, delta0=delta0,
+                                            truth=truth, early_exit=True)
+                assert got.early_exit and ref.early_exit
+        # The decoders scan different blocks, so a stop agrees whenever the
+        # truth is the unique minimum: noiseless input with delta0 = 0.
+        self.assert_same(d, x, code, truth=truth, early_exit=True)
 
 
 class TestDecodingStatistic:

@@ -16,7 +16,6 @@ from sparclab.geometry import (
     combinatorial_surplus_at_n,
     log_binomial,
     min_gap,
-    min_gap_branch_formula,
     partial_capacity,
     section_size_rate_finite,
     section_size_rate_limit,
@@ -26,6 +25,8 @@ from sparclab.geometry import (
     spread_direct,
     spread_refined,
 )
+
+from oracles import min_gap_branch_formula
 
 
 def fig2_code() -> CodeSpec:

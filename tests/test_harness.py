@@ -1,5 +1,8 @@
 """Monte Carlo driver: determinism, aggregation, curve CSVs."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from sparclab.bounds import BoundQuery, mistake_tail_bound
@@ -68,6 +71,29 @@ class TestRunMonteCarlo:
         rep8 = run_monte_carlo(mini_config(workers=8))
         assert simulate_csv(rep1) == simulate_csv(rep8)
         assert rep1.tails == rep8.tails
+
+    @pytest.mark.parametrize("workers, trials, cpus, started", [
+        (3, 2, 4, 2),       # bounded by the trial count
+        (3, 5, 2, 2),       # bounded by the processor count
+        (2, 5, 4, 2),       # the configured count
+        (3, 1, 4, None),    # one trial runs inline, with no pool
+        (2, 3, None, None), # unknown processor count: one inline worker
+    ])
+    def test_pool_size_bounded(self, monkeypatch, workers, trials, cpus, started):
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = mini_config(workers=workers, trials=trials)
+        rep = run_monte_carlo(cfg)
+        assert sizes == ([] if started is None else [started])
+        assert simulate_csv(rep) == simulate_csv(run_monte_carlo(
+            mini_config(workers=1, trials=trials)))
 
     def test_trial_streams_independent_of_trial_count(self):
         # adding trials never changes earlier trials

@@ -9,6 +9,7 @@ from sparclab.geometry import CodeSpec
 from sparclab.rs import (
     Field,
     FieldSpec,
+    RSDecodeReason,
     RSSpec,
     bits_to_symbols,
     compose_decode,
@@ -142,7 +143,7 @@ class TestDecode:
                 rx = list(cw)
                 rx[pos] ^= val
                 res = rs_decode(rx, rs_15_11)
-                assert res.ok and res.message == MSG
+                assert res.ok and res.message == MSG and res.reason == "ok"
                 assert res.corrected_count == 1
 
     def test_every_double_error_position_pattern(self, rs_15_11):
@@ -191,6 +192,25 @@ class TestDecode:
         for a, b in zip(words[:-1], words[1:]):
             if a != b:
                 assert sum(x != y for x, y in zip(a, b)) >= spec.d_RS
+
+    @pytest.mark.parametrize("received, reason", [
+        ((0, 0, 0, 0, 0), RSDecodeReason.OK),
+        ((0, 0, 1, 1, 1), RSDecodeReason.LOCATOR_DEGREE),
+        ((0, 0, 1, 1, 3), RSDecodeReason.ROOT_COUNT),
+        ((0, 0, 1, 2, 4), RSDecodeReason.ROOT_IN_PADDING),
+        ((0, 0, 1, 3, 5), RSDecodeReason.RESIDUAL_SYNDROME),
+    ])
+    def test_failure_reasons(self, received, reason):
+        # RS(5,1) over GF(8), shortened by 2, with t_RS = 2.  Every failure
+        # cause this decoder can meet occurs among its 32,768 words.  The
+        # zero Forney denominator cannot: the Chien roots are distinct and
+        # as many as the locator degree, so the derivative is nonzero there.
+        spec = RSSpec(Field(3), 5, 1)
+        res = rs_decode(received, spec)
+        assert res.reason is reason
+        assert res.ok == (reason is RSDecodeReason.OK)
+        if not res.ok:
+            assert res.message == received[:1] and res.corrected_count == 0
 
     def test_failure_carries_received_systematic_part(self, rs_15_11):
         rx = [0] * 15
