@@ -60,7 +60,6 @@ from .exponents import (
     statistic_cgf,
 )
 from .geometry import (
-    AlphaGrid,
     ChannelSpec,
     CodeSpec,
     capacity,
@@ -87,7 +86,6 @@ from .harness import (
 )
 from .rs import (
     Field,
-    FieldSpec,
     RSDecodeReason,
     RSDecodeResult,
     RSSpec,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import _capped_exponent_array, _exponent_array, capped_deviation_exponent
+from .exponents import _capped_exponent_array, _exponent_array, _log1p
 from .geometry import (
     ChannelSpec,
     CodeSpec,
@@ -31,6 +31,7 @@ from .geometry import (
 from .normal import q_inverse
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+ALPHA0_CAP = 0.25   # largest outer mistake fraction achievable_rate tries
 
 
 class InfeasibleError(RuntimeError):
@@ -47,16 +48,10 @@ class BoundQuery:
     channel: ChannelSpec
     code: CodeSpec
     t: float = 0.0
-    alpha0: float | None = None
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"threshold must be nonnegative, got {self.t}")
-        if self.alpha0 is not None and not 1 <= self.alpha0 * self.code.L:
-            raise ValueError("alpha0 must be at least 1/L")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -99,14 +94,26 @@ class TailBound:
     policy: str = "split"
 
 
-def _union_log(ell: int, L: int, n: float, v: float, rate: float, t: float) -> float:
-    """ln of the single-term bound before clamping."""
-    alpha = ell / L
-    gap = partial_capacity(alpha, v) - alpha * rate - t
-    if gap <= 0.0:
-        return log_binomial(L, ell)
-    expo = capped_deviation_exponent(gap, spread_direct(alpha, v)).value
-    return log_binomial(L, ell) - n * expo
+def _cells(ells, L: int, n, v: float, rate, t: float) -> np.ndarray:
+    """Per-cell inputs of both bounds, one row each, as a (6, cells) array.
+
+    Cell i is mistake count ells[i] at codelength n[i] and rate rate[i] (n
+    and rate may be scalars shared by all cells).  The rows are n, the gap
+    room = C_alpha - alpha R - t, ln(L choose ell), and the direct, refined
+    and star spreads, the last being the direct spread at alpha^2.
+    """
+    ells = np.asarray(ells, dtype=np.int64).ravel()
+    alpha = ells / L
+    return np.stack(np.broadcast_arrays(
+        n, partial_capacity(alpha, v) - alpha * rate - t,
+        log_binomial(L, ells), spread_direct(alpha, v),
+        spread_refined(alpha, v), spread_direct(alpha * alpha, v)))
+
+
+def _union_logs(cells: np.ndarray) -> np.ndarray:
+    """ln of the single-term bound per cell, before clamping."""
+    n, room, log_comb, s_direct, _, _ = cells
+    return log_comb - n * _capped_exponent_array(room, s_direct)
 
 
 def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
@@ -116,47 +123,38 @@ def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
     return main, star
 
 
-_GRID_CHUNK = 16   # cells per grid-stage pass; bounds the (cells, grid) temporaries
+_GRID_POINTS = 256  # grid-stage points per cell of the split optimizer
+_GRID_CHUNK = 16    # cells per grid-stage pass; bounds the (cells, grid) temporaries
 
 
 def _split_optimize(ells, L: int, n, v: float, rate, t: float,
-                    grid_points: int = 256):
+                    grid_points: int = _GRID_POINTS):
     """Optimize the split bound over the open threshold interval, per cell.
 
-    Cell i is mistake count ells[i] at codelength n[i] and rate rate[i] (n
-    and rate may be scalars shared by all cells).  Each cell gets a uniform
-    grid, then golden-section refinement around the grid minimum; the
-    refinement runs on every cell in lockstep, with per-cell masks for the
-    bracket update and the early exit.  Returns arrays (log_total, t_alpha,
-    log_main, log_star); a cell whose threshold leaves no room gives
-    (0, t, 0, 0).
+    The cells are those of _cells(ells, L, n, v, rate, t); see _split_cells.
     """
-    ells = np.asarray(ells, dtype=np.int64).ravel()
-    size = ells.size
-    n = np.broadcast_to(np.asarray(n, dtype=np.float64), (size,))
-    rate = np.broadcast_to(np.asarray(rate, dtype=np.float64), (size,))
+    return _split_cells(_cells(ells, L, n, v, rate, t), t, grid_points)
 
-    cells, rows = [], []
-    for i, (ell, n_i, r_i) in enumerate(zip(ells.tolist(), n.tolist(), rate.tolist())):
-        alpha = ell / L
-        room = partial_capacity(alpha, v) - alpha * r_i - t
-        if room <= 0.0:
-            continue
-        s_main = spread_refined(alpha, v)
-        s_star = alpha * alpha * v / (1.0 + alpha * alpha * v)
-        cells.append(i)
-        rows.append((n_i, log_binomial(L, ell), s_main,
-                     0.5 * math.log1p(-s_main), s_star, room))
 
-    out = np.zeros((4, size))
+def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
+    """Optimize the split bound over the open threshold interval of each cell.
+
+    Each cell of a _cells table gets a uniform grid, then golden-section
+    refinement around the grid minimum; the refinement runs on every cell
+    in lockstep, with per-cell masks for the bracket update and the early
+    exit.  Returns arrays (log_total, t_alpha, log_main, log_star); a cell
+    whose threshold leaves no room gives (0, t, 0, 0).
+    """
+    out = np.zeros((4, cells.shape[1]))
     out[1] = t
-    if not cells:
+    has_room = cells[1] > 0.0
+    if not has_room.any():
         return tuple(out)
+    n, room, log_comb, _, s_main, s_star = cells[:, has_room]
     # one row per parameter: n, log_comb, s_main, clamp, s_star, room; the
-    # clamp offset comes from math.log1p per cell, as the scalar exponent has it
-    P = np.array(rows).T
-    room = P[5]
-    m = len(cells)
+    # clamp offset takes math's log1p, as the scalar exponent has it
+    P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
+    m = room.size
 
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
     lo, hi, x_grid, f_grid = (np.empty(m) for _ in range(4))
@@ -205,7 +203,7 @@ def _split_optimize(ells, L: int, n, v: float, rate, t: float,
     x_opt = np.where(fc < fd, c, d)
     x_opt = np.where(f_grid < np.where(fd < fc, fd, fc), x_grid, x_opt)
     main, star = _split_terms(x_opt, t, *P)
-    out[:, cells] = np.logaddexp(main, star), x_opt, main, star
+    out[:, has_room] = np.logaddexp(main, star), x_opt, main, star
     return tuple(out)
 
 
@@ -218,11 +216,11 @@ def union_bound(ell: int, q: BoundQuery) -> float:
     L, n, v, rate, t = _query_params(q)
     if not 1 <= ell <= L:
         raise ValueError(f"need 1 <= ell <= L, got {ell}")
-    return min(1.0, math.exp(min(0.0, _union_log(ell, L, n, v, rate, t))))
+    u_log = float(_union_logs(_cells([ell], L, n, v, rate, t))[0])
+    return min(1.0, math.exp(min(0.0, u_log)))
 
 
-def split_bound(ell: int, q: BoundQuery,
-                grid_points: int = 256) -> tuple[float, float]:
+def split_bound(ell: int, q: BoundQuery) -> tuple[float, float]:
     """Two-term bound minimized over the intermediate threshold.
 
     Returns (probability, optimizing threshold).  Degenerates to 1 when the
@@ -232,18 +230,17 @@ def split_bound(ell: int, q: BoundQuery,
     if not 1 <= ell <= L:
         raise ValueError(f"need 1 <= ell <= L, got {ell}")
     log_total, t_opt, _, _ = (float(x[0]) for x in
-                              _split_optimize([ell], L, n, v, rate, t, grid_points))
+                              _split_optimize([ell], L, n, v, rate, t))
     return min(1.0, math.exp(min(0.0, log_total))), t_opt
 
 
-def _section_bounds(ells, q: BoundQuery, grid_points: int) -> tuple[SectionBound, ...]:
-    """section_bound for each mistake count, with one split optimization."""
+def _section_bounds(ells, q: BoundQuery) -> tuple[SectionBound, ...]:
+    """section_bound for each mistake count, from one table of cells."""
     L, n, v, rate, t = _query_params(q)
-    split = _split_optimize(ells, L, n, v, rate, t, grid_points)
-    out = []
-    for ell, s_log, t_opt, m_log, st_log in zip(ells, *(x.tolist() for x in split)):
-        u_log = _union_log(ell, L, n, v, rate, t)
-        out.append(SectionBound(
+    cells = _cells(ells, L, n, v, rate, t)
+    logs = [_union_logs(cells), *_split_cells(cells, t)]
+    return tuple(
+        SectionBound(
             ell=ell,
             alpha=ell / L,
             union_prob=min(1.0, math.exp(min(0.0, u_log))),
@@ -253,25 +250,25 @@ def _section_bounds(ells, q: BoundQuery, grid_points: int) -> tuple[SectionBound
             split_main_log=m_log,
             split_star_log=st_log,
             t_alpha_opt=t_opt,
-        ))
-    return tuple(out)
+        )
+        for ell, u_log, s_log, t_opt, m_log, st_log
+        in zip(ells, *(x.tolist() for x in logs)))
 
 
-def section_bound(ell: int, q: BoundQuery,
-                  grid_points: int = 256) -> SectionBound:
+def section_bound(ell: int, q: BoundQuery) -> SectionBound:
     """Full per-fraction record: both bounds plus split internals."""
     if not 1 <= ell <= q.code.L:
         raise ValueError(f"need 1 <= ell <= L, got {ell}")
-    return _section_bounds([ell], q, grid_points)[0]
+    return _section_bounds([ell], q)[0]
 
 
-def mistake_tail_bound(ell0: int, q: BoundQuery, grid_points: int = 256,
+def mistake_tail_bound(ell0: int, q: BoundQuery,
                        policy: str = "split") -> TailBound:
     """Bound on P[mistakes >= ell0]: per-count bounds summed, clamped to 1."""
     L = q.code.L
     if not 1 <= ell0 <= L:
         raise ValueError(f"need 1 <= ell0 <= L, got {ell0}")
-    per = _section_bounds(range(ell0, L + 1), q, grid_points)
+    per = _section_bounds(range(ell0, L + 1), q)
     return TailBound(ell0=ell0, per_ell=per,
                      total=min(1.0, sum(b.chosen(policy) for b in per)),
                      policy=policy)
@@ -301,19 +298,18 @@ def min_section_size_rate_for_target(v: float, L: int, rate: float,
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    ell0 = max(1, math.ceil(alpha0 * L - 1e-9))
+    ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
     log_eps = math.log(epsilon)
 
     def feasible(a: float) -> bool:
-        n = a * L * math.log(L) / rate
-        u = {ell: _union_log(ell, L, n, v, rate, 0.0) for ell in range(ell0, L + 1)}
-        above = [ell for ell, u_ell in u.items() if u_ell > log_eps]
-        if not above:
+        cells = _cells(ells, L, a * L * math.log(L) / rate, v, rate, 0.0)
+        u = _union_logs(cells)
+        above = u > log_eps
+        if not above.any():
             return True
-        s, _, _, _ = _split_optimize(above, L, n, v, rate, 0.0)
+        s, _, _, _ = _split_cells(cells[:, above], 0.0)
         # compare clamped log probabilities, so epsilon = 1 always passes
-        return not any(min(u[ell], s_ell, 0.0) > log_eps
-                       for ell, s_ell in zip(above, s.tolist()))
+        return not np.any(np.minimum(np.minimum(u[above], s), 0.0) > log_eps)
 
     a_lo = 1e-6
     if feasible(a_lo):
@@ -349,48 +345,41 @@ class AchievableRate:
 
 
 def achievable_rate(v: float, L: int, a: float, epsilon: float,
-                    rate_points: int = 200, alpha0_cap: float = 0.25,
-                    grid_points: int = 256,
-                    policy: str = "split") -> AchievableRate:
+                    rate_points: int = 200) -> AchievableRate:
     """Maximize the composite rate (1 - 2 alpha0) R subject to the tail bound.
 
     The section size is B = ceil(L^a) rounded up to a power of two.  The
     declared search grid is rate_points interior points of (0.3 C, C) for
-    the inner rate and integer multiples of 1/L up to alpha0_cap for the
-    outer mistake-fraction budget; the mistake-tail bound at ell0 =
-    alpha0 L must stay at or below epsilon.  Returns a zero rate when no
-    grid point is feasible.
+    the inner rate and integer multiples of 1/L up to ALPHA0_CAP for the
+    outer mistake-fraction budget; the split-policy mistake-tail bound at
+    ell0 = alpha0 L must stay at or below epsilon.  Each rate takes its
+    smallest such alpha0, and ties in the composite rate go to the lowest
+    inner rate.  Returns a zero rate when no grid point is feasible.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if rate_points < 1:
+        raise ValueError(f"need at least one rate point, got {rate_points}")
     B = next_power_of_two(math.ceil(L ** a))
     C = capacity(v)
-    ell0_max = max(1, math.floor(alpha0_cap * L))
-    log_n_bits = L * math.log(B)
+    ell0_max = max(1, math.floor(ALPHA0_CAP * L))
 
-    best = AchievableRate(0.0, 0.0, 0.0, 1.0, B, math.inf)
     rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
-    ns = log_n_bits / rates
-    ells = np.arange(1, L + 1)
-    split_logs, _, _, _ = _split_optimize(np.tile(ells, rates.size), L,
-                                          np.repeat(ns, L), v,
-                                          np.repeat(rates, L), 0.0, grid_points)
-    for rate, n, row in zip(rates, ns, split_logs.reshape(rates.size, L).tolist()):
-        chosen_logs = row
-        if policy == "min":
-            chosen_logs = [min(s, _union_log(ell, L, n, v, rate, 0.0))
-                           for ell, s in zip(range(1, L + 1), row)]
-        probs = np.exp(np.minimum(chosen_logs, 0.0))
-        tails = np.minimum(1.0, np.cumsum(probs[::-1])[::-1])
-        for ell0 in range(1, ell0_max + 1):
-            if tails[ell0 - 1] <= epsilon:
-                alpha0 = ell0 / L
-                r_comp = (1.0 - 2.0 * alpha0) * float(rate)
-                if r_comp > best.R_comp:
-                    best = AchievableRate(r_comp, float(rate), alpha0,
-                                          float(tails[ell0 - 1]), B, float(n))
-                break
-    return best
+    ns = L * math.log(B) / rates
+    logs, _, _, _ = _split_optimize(np.tile(np.arange(1, L + 1), rates.size), L,
+                                    np.repeat(ns, L), v, np.repeat(rates, L), 0.0)
+    probs = np.exp(np.minimum(logs.reshape(rates.size, L), 0.0))
+    # tails[r, ell0 - 1]: the clamped tail from ell0 at rate r
+    tails = np.minimum(1.0, np.cumsum(probs[:, ::-1], axis=1)[:, ::-1])[:, :ell0_max]
+    met = tails <= epsilon
+    first = met.argmax(axis=1)               # ell0 - 1 of the first tail met
+    alpha0 = (first + 1) / L
+    r_comp = np.where(met.any(axis=1), (1.0 - 2.0 * alpha0) * rates, 0.0)
+    i = int(np.argmax(r_comp))
+    if r_comp[i] <= 0.0:
+        return AchievableRate(0.0, 0.0, 0.0, 1.0, B, math.inf)
+    return AchievableRate(float(r_comp[i]), float(rates[i]), float(alpha0[i]),
+                          float(tails[i, first[i]]), B, float(ns[i]))
 
 
 def channel_dispersion(v: float) -> float:

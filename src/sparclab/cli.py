@@ -67,6 +67,13 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--snr", type=float, help="signal-to-noise ratio v")
@@ -139,7 +146,7 @@ def _cmd_curves(args) -> int:
         params["epsilon"] = args.epsilon if args.epsilon is not None else 1e-4
         if args.L_list:
             params["L_values"] = _int_list(args.L_list)
-        if args.rate_points:
+        if args.rate_points is not None:
             params["rate_points"] = args.rate_points
     elif kind == "fig2":
         if args.snr is not None:
@@ -276,7 +283,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--L-list", help="comma-separated section counts (fig1)")
     p.add_argument("--snr-list", help="comma-separated snr values (fig3)")
     p.add_argument("--n-list", help="comma-separated codelengths (ppv)")
-    p.add_argument("--rate-points", type=int, help="rate grid size (fig1)")
+    p.add_argument("--rate-points", type=_positive_int, help="rate grid size (fig1)")
     p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo trials")

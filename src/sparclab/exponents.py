@@ -114,20 +114,36 @@ def _exponent_array(delta, spread):
     return value
 
 
+def _per_element(fn, x):
+    """fn of each element of x: a float for a scalar, an array for an array.
+
+    np.log1p can differ from math.log1p in the last bit, and numpy has no
+    lgamma, so array forms that must carry the scalar forms' bits apply the
+    math function per element through here.
+    """
+    if np.ndim(x) == 0:
+        return fn(x)
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([fn(e) for e in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _log1p(x):
+    """math.log1p per element (see _per_element); -1 gives -inf."""
+    return _per_element(lambda e: -math.inf if e == -1.0 else math.log1p(e), x)
+
+
 def _capped_exponent_array(delta, spread, clamp_offset=None):
     """Array form of capped_deviation_exponent(delta, spread).value.
 
     Elementwise over broadcast arrays; nonpositive gaps give zero and zero
     spread gives the gap itself.  ``clamp_offset`` is (1/2)ln(1 - spread) on
-    spread's shape; it defaults to math.log1p per element, as the scalar form
-    computes it (np.log1p can differ in the last bit).  At spread 1 the tilt
-    never reaches 1, so the offset there is never used.
+    spread's shape; it defaults to _log1p's, as the scalar form computes it.
+    At spread 1 the tilt never reaches 1, so the offset there is never used.
     """
     d = np.maximum(delta, 0.0)
     spread = np.asarray(spread, dtype=np.float64)
     if clamp_offset is None:
-        clamp_offset = np.array([0.5 * math.log1p(-s) if s < 1.0 else -math.inf
-                                 for s in spread.flat]).reshape(spread.shape)
+        clamp_offset = 0.5 * _log1p(-spread)
     zero = spread == 0.0
     safe = np.where(zero, 1.0, spread)
     q = 4.0 * d * d / safe

@@ -9,20 +9,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .exponents import capped_deviation_exponent, optimal_tilt
+import numpy as np
+
+from .exponents import _log1p, _per_element, capped_deviation_exponent, optimal_tilt
 
 LN2 = math.log(2.0)
+_lgamma = functools.partial(_per_element, math.lgamma)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
+def _check_alpha(alpha) -> None:
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
-def _check_snr(v: float) -> None:
-    if v <= 0:
+def _check_snr(v) -> None:
+    if not np.all(v > 0):
         raise ValueError(f"snr must be positive, got {v}")
 
 
@@ -104,51 +107,31 @@ class CodeSpec:
         return (2 * self.B if self.signed else self.B) ** self.L
 
 
-@dataclass(frozen=True)
-class AlphaGrid:
-    """Mistake fractions ell/L for an integer sub-range of sections."""
-
-    L: int
-    ells: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.ells is None:
-            object.__setattr__(self, "ells", tuple(range(1, self.L + 1)))
-        if any(not 0 <= e <= self.L for e in self.ells):
-            raise ValueError("section counts out of range")
-        if any(b <= a for a, b in zip(self.ells, self.ells[1:])):
-            raise ValueError("section counts must be strictly increasing")
-
-    @classmethod
-    def interior(cls, L: int) -> "AlphaGrid":
-        return cls(L, tuple(range(1, L)))
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(e / self.L for e in self.ells)
-
-
 def capacity(v: float) -> float:
     """Channel capacity (1/2)ln(1+v) in nats per use."""
     _check_snr(v)
     return 0.5 * math.log1p(v)
 
 
-def partial_capacity(alpha: float, v: float) -> float:
-    """(1/2)ln(1+alpha*v): the rate obstacle for a fraction-alpha confusion."""
+def partial_capacity(alpha, v):
+    """(1/2)ln(1+alpha*v): the rate obstacle for a fraction-alpha confusion.
+
+    This and the spreads below are elementwise over arrays; a scalar in
+    gives a float out.
+    """
     _check_alpha(alpha)
     _check_snr(v)
-    return 0.5 * math.log1p(alpha * v)
+    return 0.5 * _log1p(alpha * v)
 
 
-def spread_direct(alpha: float, v: float) -> float:
+def spread_direct(alpha, v):
     """Spread alpha*v/(1+alpha*v) of the one-shot decoding statistic."""
     _check_alpha(alpha)
     _check_snr(v)
     return alpha * v / (1.0 + alpha * v)
 
 
-def spread_refined(alpha: float, v: float) -> float:
+def spread_refined(alpha, v):
     """Spread alpha*(1-alpha)*v/(1+alpha*v) after splitting the statistic.
 
     The extra (1-alpha) factor is what keeps the split bound useful for
@@ -164,11 +147,11 @@ def capacity_shape_gap(alpha: float, v: float) -> float:
     return partial_capacity(alpha, v) - alpha * capacity(v)
 
 
-def log_binomial(L: int, ell: int) -> float:
-    """ln of (L choose ell) via log-gamma."""
-    if not 0 <= ell <= L:
+def log_binomial(L, ell):
+    """ln of (L choose ell) via math.lgamma, elementwise over arrays."""
+    if not np.all((0 <= ell) & (ell <= L)):
         raise ValueError(f"need 0 <= ell <= L, got ell={ell}, L={L}")
-    return (math.lgamma(L + 1) - math.lgamma(ell + 1) - math.lgamma(L - ell + 1))
+    return _lgamma(L + 1) - _lgamma(ell + 1) - _lgamma(L - ell + 1)
 
 
 def combinatorial_rate(ell: int, L: int, n_real: float) -> float:

@@ -66,7 +66,10 @@ class ExperimentConfig:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if any(not 1 <= e <= self.L for e in self.ell0_list):
             raise ValueError("ell0 values must lie in [1, L]")
-        self.rs_spec()   # an infeasible outer code fails here, not in a worker
+        if self.t < 0:
+            raise ValueError(f"threshold must be nonnegative, got {self.t}")
+        # a bad channel, code or outer code fails here, not in a worker
+        _ = self.channel, self.code, self.rs_spec()
 
     @property
     def channel(self) -> ChannelSpec:

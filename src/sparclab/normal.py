@@ -1,11 +1,11 @@
-"""Standard-normal CDF, tail, and quantile functions.
+"""Standard-normal CDF and quantile functions.
 
 The quantile is Acklam's rational approximation (relative error about
-1.15e-9 over (0,1)), optionally polished by one Halley step against the
-exact CDF (erfc based), which brings it to near machine precision.  The
-unpolished vectorized form is the fixed, documented transform used to turn
-seeded uniform streams into Gaussian samples, so dictionaries and noise are
-bit-reproducible for a given seed.
+1.15e-9 over (0,1)).  Unpolished and vectorized, it is the fixed, documented
+transform used to turn seeded uniform streams into Gaussian samples, so
+dictionaries and noise are bit-reproducible for a given seed.  The scalar
+quantile starts from the same transform and adds one Halley step against
+the exact (erfc based) CDF, which brings it to near machine precision.
 """
 
 from __future__ import annotations
@@ -34,26 +34,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / SQRT2)
 
 
-def q_function(x: float) -> float:
-    """Upper tail Q(x) = P[Z > x] = (1/2) erfc(x / sqrt(2))."""
-    return 0.5 * math.erfc(x / SQRT2)
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF, polished to near machine precision.
 
@@ -62,7 +42,7 @@ def normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile requires p in (0, 1), got {p}")
-    x = _acklam(p)
+    x = float(standard_normal_from_uniform(np.array([p]))[0])
     e = normal_cdf(x) - p
     u = e * SQRT_2PI * math.exp(0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)

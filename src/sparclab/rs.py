@@ -112,21 +112,6 @@ class Field:
         return out
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Field parameters; materialize with to_field()."""
-
-    m: int
-    primitive_polynomial: int | None = None
-
-    @property
-    def q(self) -> int:
-        return 1 << self.m
-
-    def to_field(self) -> Field:
-        return Field(self.m, self.primitive_polynomial)
-
-
 class RSDecodeReason(str, enum.Enum):
     """Why rs_decode returned what it did: ok, or the check that rejected the word."""
 
@@ -149,8 +134,8 @@ class RSDecodeResult:
 class RSSpec:
     """(n_out, K_out) Reed-Solomon code, shortened from base length q - 1."""
 
-    def __init__(self, field: Field | FieldSpec, n_out: int, K_out: int):
-        self.field = field.to_field() if isinstance(field, FieldSpec) else field
+    def __init__(self, field: Field, n_out: int, K_out: int):
+        self.field = field
         q = self.field.q
         if not 1 <= K_out <= n_out <= q - 1:
             raise ValueError(

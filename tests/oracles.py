@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's closed forms: exponents come from
 dense tilt grids, quantiles from bisection on erfc, decoders from plain
-itertools enumeration.  Two exceptions are slow paths that a fast one
+itertools enumeration.  The exceptions are slow paths that a fast one
 replaced, kept unchanged as references: the per-cell split-bound optimizer
 (the lockstep array optimizer in ``sparclab.bounds`` must match it bit for
-bit) and the prefix/suffix-table exhaustive decoder (the meet-in-the-middle
-``sparclab.codec.decode_exhaustive`` must pick the same coefficients).
-Production code never imports this module.
+bit), the per-cell scalar union bound (the array table must match it to
+the last bits of log1p), the scalar Acklam quantile (``normal_quantile``
+must match it bit for bit) and the prefix/suffix-table exhaustive decoder
+(the meet-in-the-middle ``sparclab.codec.decode_exhaustive`` must pick the
+same coefficients).  Production code never imports this module.
 """
 
 from __future__ import annotations
@@ -28,14 +30,17 @@ from sparclab.codec import (
     count_mistakes,
     synthesize,
 )
-from sparclab.exponents import inverse_deviation_exponent
+from sparclab.exponents import capped_deviation_exponent, inverse_deviation_exponent
 from sparclab.geometry import (
     CodeSpec,
     combinatorial_rate,
     log_binomial,
     partial_capacity,
+    spread_direct,
     spread_refined,
 )
+from sparclab.normal import _A, _B, _C, _D, _P_LOW, SQRT_2PI, normal_cdf
+from sparclab.rs import RSSpec, rs_encode
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,6 +65,26 @@ def q_inverse_bisect(eps: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def acklam_quantile(p: float) -> float:
+    """Scalar Acklam quantile plus one Halley step against the erfc CDF."""
+    if p < _P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    elif p > 1.0 - _P_LOW:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    else:
+        q = p - 0.5
+        r = q * q
+        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
+             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+    e = normal_cdf(x) - p
+    u = e * SQRT_2PI * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
 
 
 def min_gap_branch_formula(ell: int, L: int, n_real: float, v: float) -> float:
@@ -100,6 +125,16 @@ def brute_force_decode(X: np.ndarray, y: np.ndarray, L: int, B: int,
             if r < best[2]:
                 best = (list(idx), list(sgn), r)
     return best
+
+
+def union_log(ell: int, L: int, n: float, v: float, rate: float, t: float) -> float:
+    """ln of the single-term bound before clamping, one cell at a time."""
+    alpha = ell / L
+    gap = partial_capacity(alpha, v) - alpha * rate - t
+    if gap <= 0.0:
+        return log_binomial(L, ell)
+    expo = capped_deviation_exponent(gap, spread_direct(alpha, v)).value
+    return log_binomial(L, ell) - n * expo
 
 
 def capped_exponent_vec(delta: np.ndarray, spread: float) -> np.ndarray:
@@ -181,6 +216,22 @@ def split_eval(ell: int, L: int, n: float, v: float, rate: float, t: float,
         x_opt = float(xs[j])
     m, s = split_terms(np.array([x_opt]), n, t, log_comb, s_main, s_star, room)
     return float(np.logaddexp(m, s)[0]), float(x_opt), float(m[0]), float(s[0])
+
+
+def nearest_codewords(spec: RSSpec):
+    """Every received word with its messages at minimum Hamming distance.
+
+    Enumerates all q^n_out words against all q^K_out codewords; yields
+    (word, distance, messages), where messages lists every message whose
+    codeword is nearest to the word.
+    """
+    q = spec.field.q
+    messages = list(itertools.product(range(q), repeat=spec.K_out))
+    book = np.array([rs_encode(m, spec) for m in messages])
+    for word in itertools.product(range(q), repeat=spec.n_out):
+        dist = np.count_nonzero(book != np.array(word), axis=1)
+        best = int(dist.min())
+        yield word, best, [messages[i] for i in np.flatnonzero(dist == best)]
 
 
 def _symbol_block(dic: Dictionary, section: int, signed: bool) -> np.ndarray:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from sparclab.bounds import (
     BoundQuery,
     InfeasibleError,
+    _cells,
     _split_optimize,
+    _union_logs,
     achievable_rate,
     channel_dispersion,
     min_section_size_rate_for_target,
@@ -33,7 +35,7 @@ from sparclab.geometry import (
     spread_refined,
 )
 
-from oracles import q_inverse_bisect, split_eval, split_terms
+from oracles import q_inverse_bisect, split_eval, split_terms, union_log
 
 
 def fig2_query(t: float = 0.0) -> BoundQuery:
@@ -49,10 +51,6 @@ class TestBoundQuery:
         ch = ChannelSpec.from_snr(15.0)
         with pytest.raises(ValueError):
             BoundQuery(channel=ch, code=code, t=-0.1)
-        with pytest.raises(ValueError):
-            BoundQuery(channel=ch, code=code, alpha0=0.001)
-        with pytest.raises(ValueError):
-            BoundQuery(channel=ch, code=code, epsilon=1.5)
 
 
 class TestUnionBound:
@@ -110,10 +108,12 @@ class TestSplitBound:
 
     def test_grid_refinement_stable_within_one_percent(self):
         q = fig2_query()
+        L, n, v, rate = 100, q.code.n_real, 15.0, q.code.rate
         for ell in (10, 30, 50, 90):
-            coarse, _ = split_bound(ell, q, grid_points=256)
-            fine, _ = split_bound(ell, q, grid_points=2560)
-            assert coarse == pytest.approx(fine, rel=0.01)
+            coarse, _ = split_bound(ell, q)
+            fine_log, _, _, _ = _split_optimize([ell], L, n, v, rate, 0.0,
+                                                grid_points=2560)
+            assert coarse == pytest.approx(math.exp(fine_log[0]), rel=0.01)
 
     def test_both_split_terms_worse_away_from_optimum(self):
         q = fig2_query()
@@ -229,12 +229,11 @@ class TestMinSectionSizeRate:
     def test_solution_is_feasible_and_marginal(self):
         v, L, rate, alpha0, eps = 15.0, 32, 0.8 * capacity(15.0), 0.125, math.exp(-10)
         a = min_section_size_rate_for_target(v, L, rate, alpha0, eps)
-        from sparclab.bounds import _union_log
         for factor, expect in ((1.0, True), (0.98, False)):
             n = factor * a * L * math.log(L) / rate
             ok = True
             for ell in range(4, L + 1):
-                u = _union_log(ell, L, n, v, rate, 0.0)
+                u = union_log(ell, L, n, v, rate, 0.0)
                 s, _, _, _ = split_eval(ell, L, n, v, rate, 0.0)
                 if min(u, s) > math.log(eps):
                     ok = False
@@ -259,6 +258,11 @@ class TestAchievableRate:
         tight = achievable_rate(20.0, 30, 2.6712, 1e-4, rate_points=40)
         loose = achievable_rate(20.0, 30, 2.6712, 0.9, rate_points=40)
         assert loose.R_comp >= tight.R_comp
+
+    def test_rate_points_must_be_positive(self):
+        for rate_points in (0, -3):
+            with pytest.raises(ValueError, match="rate point"):
+                achievable_rate(20.0, 10, 2.0, 1e-4, rate_points=rate_points)
 
     def test_zero_when_infeasible(self):
         # one section pair, tiny epsilon: nothing on the grid works
@@ -303,17 +307,18 @@ class TestNormalApproximationRate:
             channel_dispersion(0.0)
 
 
-def oracle_box(seed: int = 1006, groups: int = 170, per_group: int = 30):
-    """Seeded cells for the optimizer differential test, grouped by (L, v, t).
+def oracle_box(seed: int = 1006, groups: int = 170, per_group: int = 30,
+               log_v: tuple[float, float] = (-2.0, 4.0)):
+    """Seeded cells for the differential tests, grouped by (L, v, t).
 
-    L in {2, 3, 5, 10, 37, 100}, v log-uniform on [1e-2, 1e4], n
-    log-uniform on [1, 1e4], t zero or uniform on (0, 0.2), rate between
-    0.05 and 1.2 of capacity; each group holds one ell = L cell.
+    L in {2, 3, 5, 10, 37, 100}, v log-uniform on [10^log_v[0],
+    10^log_v[1]], n log-uniform on [1, 1e4], t zero or uniform on (0, 0.2),
+    rate between 0.05 and 1.2 of capacity; each group holds one ell = L cell.
     """
     rng = np.random.default_rng(seed)
     for _ in range(groups):
         L = int(rng.choice([2, 3, 5, 10, 37, 100]))
-        v = float(10.0 ** rng.uniform(-2.0, 4.0))
+        v = float(10.0 ** rng.uniform(*log_v))
         t = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.2))
         ells = rng.integers(1, L + 1, per_group)
         ells[0] = L
@@ -374,3 +379,65 @@ class TestSplitOptimizeProperties:
         # the grid does not depend on n, so only the refinement's last bits
         # can reorder two nearly equal optima
         assert long <= short * (1.0 + 1e-9)
+
+
+class TestUnionLogsOracle:
+    """The union-bound table matches the per-cell scalar bound.
+
+    The exponent's interior branch takes numpy's log1p, which can differ
+    from math's in the last bit; every other step has the scalar bits.
+    """
+
+    def test_matches_scalar_on_seeded_box(self):
+        cells = no_room = 0
+        for L, v, t, ells, ns, rates in oracle_box(seed=3780, log_v=(-3.0, 8.0)):
+            table = _cells(ells, L, ns, v, rates, t)
+            got = _union_logs(table).tolist()
+            for i, (ell, n, rate) in enumerate(zip(ells, ns, rates)):
+                want = union_log(ell, L, n, v, rate, t)
+                if table[1, i] <= 0.0:
+                    assert got[i] == want, (ell, L, n, v, rate, t)
+                    no_room += 1
+                else:
+                    assert abs(got[i] - want) <= 1e-14 * max(1.0, abs(want)), \
+                        (ell, L, n, v, rate, t)
+                cells += 1
+        assert cells >= 5000 and no_room >= 100 and cells - no_room >= 3000
+
+
+class TestBoundProperties:
+    """Both per-count bounds are probabilities, and the tail behaves.
+
+    The rate drops at fixed n by trading section size for rate: B = 2^m at
+    rate R against B = 2^j at rate R j / m, j < m, whose codelengths agree
+    to rounding.  A 1e-9 relative slack covers that rounding and the
+    optimizer's last bits.
+    """
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(L=st.sampled_from([2, 3, 5, 10, 37, 100]), data=st.data(),
+           log_v=st.floats(-3.0, 8.0), fraction=st.floats(0.05, 1.2),
+           t=st.one_of(st.just(0.0), st.floats(1e-9, 0.2)),
+           m=st.integers(2, 40))
+    def test_unit_interval_monotone_in_ell0_and_rate(
+            self, L, data, log_v, fraction, t, m):
+        j = data.draw(st.integers(1, m - 1))
+        lo, hi = sorted(data.draw(st.integers(1, L)) for _ in range(2))
+        v = 10.0 ** log_v
+        rate = fraction * capacity(v)
+        channel = ChannelSpec.from_snr(v)
+        q = BoundQuery(channel=channel, code=CodeSpec(L=L, B=2 ** m, rate=rate), t=t)
+        slower = BoundQuery(channel=channel, t=t,
+                            code=CodeSpec(L=L, B=2 ** j, rate=rate * j / m))
+        assert slower.code.n_real == pytest.approx(q.code.n_real, rel=1e-14)
+
+        per, per_slower = (mistake_tail_bound(1, x).per_ell for x in (q, slower))
+        for b in per + per_slower:
+            assert 0.0 <= b.union_prob <= 1.0 and 0.0 <= b.split_prob <= 1.0
+        for b, b_slower in zip(per, per_slower):
+            assert b_slower.union_prob <= b.union_prob * (1.0 + 1e-9)
+            assert b_slower.split_prob <= b.split_prob * (1.0 + 1e-9)
+        for policy in ("split", "min"):
+            tail_lo, tail_hi = (mistake_tail_bound(e, q, policy=policy).total
+                                for e in (lo, hi))
+            assert 0.0 <= tail_hi <= tail_lo <= 1.0

@@ -1,10 +1,12 @@
 """Command-line interface: argument handling, file outputs, config files."""
 
 import json
+import math
 
 import pytest
 
 from sparclab.cli import load_config, main
+from sparclab.geometry import capacity
 
 
 def run_cli(args):
@@ -158,6 +160,29 @@ class TestOtherCommands:
                       "--rs-distance", "5", "--errors", "2", "--seed", "3"])
         assert rc == 0
         assert "recovered=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_rate_points_must_be_a_positive_int(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["curves", "--kind", "fig1", "--L-list", "10",
+                     "--rate-points", value])
+        assert exc.value.code == 2
+        assert "--rate-points" in capsys.readouterr().err
+
+    def test_rate_points_from_config_checked(self, tmp_path):
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text("rate_points = 0\n")
+        with pytest.raises(ValueError, match="rate point"):
+            run_cli(["curves", "--kind", "fig1", "--L-list", "10",
+                     "--config", str(cfg)])
+
+    def test_rate_points_used(self, capsys):
+        rc = run_cli(["curves", "--kind", "fig1", "--L-list", "10",
+                      "--epsilon", "0.5", "--rate-points", "1"])
+        assert rc == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        # the one interior rate of (0.3 C, C) is 0.65 C
+        assert float(row[5]) == pytest.approx(0.65 * capacity(20.0) / math.log(2.0))
 
     def test_missing_required_combination(self):
         with pytest.raises(SystemExit):

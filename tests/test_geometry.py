@@ -2,11 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sparclab.exponents import capped_deviation_exponent
 from sparclab.geometry import (
-    AlphaGrid,
     ChannelSpec,
     CodeSpec,
     capacity,
@@ -81,17 +81,34 @@ class TestCodeSpec:
         assert CodeSpec(L=2, B=4, rate=1.0, signed=True).candidate_count() == 64
 
 
-class TestAlphaGrid:
-    def test_full_and_interior(self):
-        g = AlphaGrid(4)
-        assert g.values == (0.25, 0.5, 0.75, 1.0)
-        assert AlphaGrid.interior(4).ells == (1, 2, 3)
+class TestArrayForms:
+    """The closed forms take arrays elementwise, with the scalar forms' bits."""
 
-    def test_rejects_disorder(self):
+    L = 37
+    ells = np.arange(0, L + 1)
+
+    @pytest.mark.parametrize("f", [partial_capacity, spread_direct, spread_refined])
+    @pytest.mark.parametrize("v", [1e-3, 0.7, 15.0, 1e8])
+    def test_alpha_forms_match_scalar_bits(self, f, v):
+        alpha = self.ells / self.L
+        got = f(alpha, v)
+        assert got.shape == alpha.shape
+        assert got.tolist() == [f(a, v) for a in alpha.tolist()]
+        assert type(f(0.3, v)) is float
+
+    def test_log_binomial_matches_scalar_bits(self):
+        got = log_binomial(self.L, self.ells)
+        assert got.tolist() == [log_binomial(self.L, e) for e in range(self.L + 1)]
+        assert type(log_binomial(self.L, 3)) is float
+        assert log_binomial(self.L, np.array([], dtype=int)).shape == (0,)
+
+    def test_one_bad_element_rejects_the_array(self):
         with pytest.raises(ValueError):
-            AlphaGrid(4, (2, 2))
+            partial_capacity(np.array([0.5, 1.5]), 15.0)
         with pytest.raises(ValueError):
-            AlphaGrid(4, (0, 5))
+            spread_direct(np.array([0.5, 0.25]), np.array([15.0, 0.0]))
+        with pytest.raises(ValueError):
+            log_binomial(5, np.array([0, 6]))
 
 
 class TestCapacities:

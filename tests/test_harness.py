@@ -44,6 +44,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             mini_config(L=L, B=B, rs_distance=3, ell0_list=(1,))
 
+    @pytest.mark.parametrize("bad", [{"snr": -1.0}, {"t": -0.5}, {"rate": 0.0},
+                                     {"B": 1}])
+    def test_bad_parameter_rejected_at_construction(self, bad):
+        # a bad parameter must fail before any trial runs, not inside a
+        # worker thread or after the trials
+        with pytest.raises(ValueError):
+            mini_config(workers=2, **bad)
+
     def test_derived_objects(self):
         cfg = mini_config()
         assert cfg.channel.snr == 15.0

@@ -1,6 +1,7 @@
 """Reed-Solomon field arithmetic, bounded-distance decoding, composition."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from sparclab.geometry import CodeSpec
 from sparclab.rs import (
     Field,
-    FieldSpec,
     RSDecodeReason,
     RSSpec,
     bits_to_symbols,
@@ -19,6 +19,8 @@ from sparclab.rs import (
     rs_encode,
     symbols_to_bits,
 )
+
+from oracles import nearest_codewords
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +69,6 @@ class TestField:
     def test_out_of_range_elements_rejected(self, gf16):
         with pytest.raises(ValueError):
             gf16.mul(16, 1)
-
-    def test_field_spec_materializes(self):
-        spec = FieldSpec(m=13)
-        assert spec.q == 8192
-        f = spec.to_field()
-        assert f.mul(2, f.inv(2)) == 1
 
 
 class TestRSSpec:
@@ -211,6 +207,25 @@ class TestDecode:
         assert res.ok == (reason is RSDecodeReason.OK)
         if not res.ok:
             assert res.message == received[:1] and res.corrected_count == 0
+
+    @pytest.mark.parametrize("n_out, k_out", [(4, 2), (5, 1)])
+    def test_bounded_distance_contract_exhaustive_gf8(self, n_out, k_out):
+        # every received word: within t_RS of a codeword, that codeword's
+        # message comes back; farther from all of them, a reported failure
+        spec = RSSpec(Field(3), n_out, k_out)
+        words = within = 0
+        for word, dist, messages in nearest_codewords(spec):
+            res = rs_decode(word, spec)
+            if dist <= spec.t_RS:
+                assert messages == [res.message] and res.ok, word
+                assert res.corrected_count == dist
+                within += 1
+            else:
+                assert not res.ok, word
+            words += 1
+        assert words == 8 ** n_out
+        assert within == 8 ** k_out * sum(
+            math.comb(n_out, e) * 7 ** e for e in range(spec.t_RS + 1))
 
     def test_failure_carries_received_systematic_part(self, rs_15_11):
         rx = [0] * 15
