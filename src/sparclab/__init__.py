@@ -33,7 +33,6 @@ from .codec import (
     decoding_statistic,
     encode,
     generate_dictionary,
-    normalized_inner,
     normalized_power,
     synthesize,
     to_bits,
@@ -49,8 +48,6 @@ from .diagnostics import (
     worst_case_power_bound,
 )
 from .exponents import (
-    Branch,
-    ExponentResult,
     capped_deviation_exponent,
     chi_square_exponent,
     deviation_exponent,

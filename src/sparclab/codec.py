@@ -34,13 +34,6 @@ def normalized_power(x: np.ndarray) -> float:
     return float(np.mean(x * x))
 
 
-def normalized_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b with the (1/n) normalization."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.mean(a * b))
-
-
 def _seeded_normals(shape: tuple[int, ...], seed) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)

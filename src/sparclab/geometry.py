@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import _log1p, _per_element, capped_deviation_exponent, optimal_tilt
+from .exponents import (
+    _capped_exponent_array,
+    _invert,
+    _log1p,
+    _per_element,
+    _scalar_or_array,
+    capped_deviation_exponent,
+    optimal_tilt,
+)
 
 LN2 = math.log(2.0)
 _lgamma = functools.partial(_per_element, math.lgamma)
@@ -142,8 +150,8 @@ def spread_refined(alpha, v):
     return alpha * (1.0 - alpha) * v / (1.0 + alpha * v)
 
 
-def capacity_shape_gap(alpha: float, v: float) -> float:
-    """Concave gap C_alpha - alpha*C, zero exactly at the endpoints."""
+def capacity_shape_gap(alpha, v: float):
+    """Concave gap C_alpha - alpha*C, zero exactly at the endpoints; elementwise in alpha."""
     return partial_capacity(alpha, v) - alpha * capacity(v)
 
 
@@ -165,37 +173,23 @@ def min_gap(ell: int, L: int, n_real: float, v: float) -> float:
     """Smallest gap whose capped exponent cancels the combinatorial coefficient.
 
     Solves n * capped_exponent(gap, spread) = ln(L choose ell) with the
-    refined spread, by bisection plus Newton polish.  The closed-form branch
-    values (root of the interior or clamped formula) bracket the root.
+    refined spread, by bisection plus Newton polish.  The root of the
+    clamped-branch formula bounds the root from above.
     """
     if not 1 <= ell <= L - 1:
         raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}, L={L}")
     r = combinatorial_rate(ell, L, n_real)
     s = spread_refined(ell / L, v)
-    target = log_binomial(L, ell)
-
-    f = lambda d: n_real * capped_deviation_exponent(d, s).value
-    lo, hi = r, r - 0.5 * math.log1p(-s)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        slope = n_real * min(1.0, optimal_tilt(x, s)) if x > 0 else n_real
-        x -= (f(x) - target) / slope
-    return x
+    return _invert(lambda d: n_real * _capped_exponent_array(d, s),
+                   lambda d: n_real * min(1.0, optimal_tilt(d, s)) if d > 0 else n_real,
+                   log_binomial(L, ell), r - 0.5 * math.log1p(-s))
 
 
-def shape_exponent(ell: int, L: int, v: float) -> float:
-    """Capped exponent of the capacity-shape gap at the refined spread."""
-    alpha = ell / L
+def shape_exponent(ell, L: int, v: float):
+    """Capped exponent of the capacity-shape gap at the refined spread; elementwise in ell."""
+    alpha = np.asarray(ell) / L
     return capped_deviation_exponent(capacity_shape_gap(alpha, v),
-                                     spread_refined(alpha, v)).value
+                                     spread_refined(alpha, v))
 
 
 def section_size_rate_finite(v: float, L: int, rate: float) -> float:
@@ -209,13 +203,9 @@ def section_size_rate_finite(v: float, L: int, rate: float) -> float:
         raise ValueError(f"need L >= 3, got {L}")
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    denom_scale = L * math.log(L)
-    best = 0.0
-    for ell in range(1, L):
-        ratio = rate * log_binomial(L, ell) / (shape_exponent(ell, L, v) * denom_scale)
-        if ratio > best:
-            best = ratio
-    return best
+    ell = np.arange(1, L)
+    ratio = rate * log_binomial(L, ell) / (shape_exponent(ell, L, v) * (L * math.log(L)))
+    return max(0.0, float(ratio.max()))
 
 
 @functools.lru_cache(maxsize=1)
@@ -255,18 +245,19 @@ def small_alpha_slope(v: float, rate: float, a: float) -> float:
     return 0.5 * (v - math.log1p(v)) - math.sqrt(2.0 * v * rate / a)
 
 
-def combinatorial_surplus_at_n(ell: int, L: int, n_real: float, v: float) -> float:
-    """n * shape_exponent - ln(L choose ell) at an explicit codelength."""
-    if not 0 <= ell <= L:
+def combinatorial_surplus_at_n(ell, L: int, n_real: float, v: float):
+    """n * shape_exponent - ln(L choose ell) at an explicit codelength; elementwise in ell."""
+    ell = np.asarray(ell)
+    if not np.all((0 <= ell) & (ell <= L)):
         raise ValueError(f"need 0 <= ell <= L, got ell={ell}")
-    if ell in (0, L):
-        return 0.0
-    return n_real * shape_exponent(ell, L, v) - log_binomial(L, ell)
+    surplus = n_real * shape_exponent(ell, L, v) - log_binomial(L, ell)
+    return _scalar_or_array(np.where((ell == 0) | (ell == L), 0.0, surplus))
 
 
-def combinatorial_surplus(ell: int, code: CodeSpec, v: float) -> float:
+def combinatorial_surplus(ell, code: CodeSpec, v: float):
     """n * shape_exponent - ln(L choose ell); nonnegative iff a suffices.
 
     Zero at the endpoints by convention (both constituents vanish there).
+    Elementwise in ell.
     """
     return combinatorial_surplus_at_n(ell, code.L, code.n_real, v)

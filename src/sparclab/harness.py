@@ -36,7 +36,6 @@ from .geometry import (
 )
 from .bounds import min_section_size_rate_for_target
 from .rs import Field, RSSpec, compose_decode, compose_encode
-from .stats import wilson_upper
 
 LN2 = math.log(2.0)
 
@@ -182,7 +181,7 @@ def run_monte_carlo(config: ExperimentConfig) -> MCReport:
         tails.append(TailComparison(
             ell0=ell0,
             empirical=empirical,
-            ci_upper=wilson_upper(hits, config.trials),
+            ci_upper=_wilson_upper(hits, config.trials),
             analytic=mistake_tail_bound(ell0, q).total,
         ))
 
@@ -192,6 +191,18 @@ def run_monte_carlo(config: ExperimentConfig) -> MCReport:
 
     return MCReport(config=config, trials=tuple(trials), tails=tuple(tails),
                     power=power)
+
+
+def _wilson_upper(successes: int, trials: int, z: float = 2.5758293035489004) -> float:
+    """Upper Wilson score bound; default z is the two-sided 99% quantile."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    phat = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials
+                                   + z * z / (4 * trials * trials))
+    return min(1.0, center + half)
 
 
 def format_value(x) -> str:
@@ -262,9 +273,10 @@ def fig2_rows(v: float = 15.0, L: int = 100, B: int = 2 ** 13,
     q = BoundQuery(channel=channel, code=code, t=t)
     header = ["alpha", "ell", "neg_ln_lemma2_main", "neg_ln_lemma2_star",
               "neg_ln_lemma1", "d_n_alpha"]
-    rows = [[b.alpha, b.ell, -b.split_main_log, -b.split_star_log,
-             -b.union_log, combinatorial_surplus(b.ell, code, v)]
-            for b in mistake_tail_bound(1, q).per_ell]
+    per_ell = mistake_tail_bound(1, q).per_ell
+    surplus = combinatorial_surplus(np.array([b.ell for b in per_ell]), code, v)
+    rows = [[b.alpha, b.ell, -b.split_main_log, -b.split_star_log, -b.union_log, d]
+            for b, d in zip(per_ell, surplus.tolist())]
     return header, rows
 
 

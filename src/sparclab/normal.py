@@ -11,6 +11,7 @@ the exact (erfc based) CDF, which brings it to near machine precision.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -38,10 +39,12 @@ def normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF, polished to near machine precision.
 
     One Halley step against the erfc-based CDF removes the ~1e-9 residual
-    of the rational approximation.
+    of the rational approximation.  Subnormal p is rejected: the step's
+    exp(x^2/2) overflows there.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile requires p in (0, 1), got {p}")
+    if not sys.float_info.min <= p < 1.0:
+        raise ValueError(f"quantile requires p in [{sys.float_info.min!r}, 1) "
+                         f"(no subnormal p), got {p}")
     x = float(standard_normal_from_uniform(np.array([p]))[0])
     e = normal_cdf(x) - p
     u = e * SQRT_2PI * math.exp(0.5 * x * x)

@@ -205,23 +205,19 @@ def _berlekamp_massey(synd: list[int], f: Field) -> list[int]:
             delta ^= f.mul(lam[j], synd[i - j])
         if delta == 0:
             m += 1
-        elif 2 * L <= i:
-            old = list(lam)
-            scale = f.mul(delta, f.inv(b))
-            shifted = [0] * m + [f.mul(scale, c) for c in prev]
-            lam = [a ^ b2 for a, b2 in
-                   zip(lam + [0] * (len(shifted) - len(lam)),
-                       shifted + [0] * (len(lam) - len(shifted)))]
+            continue
+        scale = f.mul(delta, f.inv(b))
+        shifted = [0] * m + [f.mul(scale, c) for c in prev]
+        old = lam
+        lam = [a ^ b2 for a, b2 in
+               zip(lam + [0] * (len(shifted) - len(lam)),
+                   shifted + [0] * (len(lam) - len(shifted)))]
+        if 2 * L <= i:
             L = i + 1 - L
             prev = old
             b = delta
             m = 1
         else:
-            scale = f.mul(delta, f.inv(b))
-            shifted = [0] * m + [f.mul(scale, c) for c in prev]
-            lam = [a ^ b2 for a, b2 in
-                   zip(lam + [0] * (len(shifted) - len(lam)),
-                       shifted + [0] * (len(lam) - len(shifted)))]
             m += 1
     while lam and lam[-1] == 0:
         lam.pop()

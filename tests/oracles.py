@@ -3,7 +3,9 @@
 These deliberately avoid the library's closed forms: exponents come from
 dense tilt grids, quantiles from bisection on erfc, decoders from plain
 itertools enumeration.  The exceptions are slow paths that a fast one
-replaced, kept unchanged as references: the per-cell split-bound optimizer
+replaced, kept unchanged as references: the scalar closed-form exponents
+and tilt (the array forms in ``sparclab.exponents`` must match them to the
+last bits of log1p), the per-cell split-bound optimizer
 (the lockstep array optimizer in ``sparclab.bounds`` must match it bit for
 bit), the per-cell scalar union bound (the array table must match it to
 the last bits of log1p), the scalar Acklam quantile (``normal_quantile``
@@ -14,8 +16,10 @@ same coefficients).  Production code never imports this module.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from sparclab.codec import (
     count_mistakes,
     synthesize,
 )
-from sparclab.exponents import capped_deviation_exponent, inverse_deviation_exponent
 from sparclab.geometry import (
     CodeSpec,
     combinatorial_rate,
@@ -45,6 +48,87 @@ from sparclab.rs import RSSpec, rs_encode
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+class Branch(enum.Enum):
+    """Which regime produced an exponent value."""
+
+    INTERIOR = "interior"
+    CLAMPED_AT_ONE = "clamped_at_one"
+    DEGENERATE_ZERO_SPREAD = "degenerate_zero_spread"
+
+
+@dataclass(frozen=True)
+class ExponentResult:
+    value: float        # nats, >= 0
+    lambda_opt: float   # maximizing tilt
+    branch: Branch
+
+
+def _validate(delta: float, spread: float, spread_max: float = 1.0) -> None:
+    if delta < 0:
+        raise ValueError(f"gap must be nonnegative, got {delta}")
+    if not 0.0 <= spread <= spread_max:
+        raise ValueError(f"spread must be in [0, {spread_max}], got {spread}")
+
+
+def _exponent_from_ratio(q: float) -> tuple[float, float]:
+    """Value and gamma for the closed form at ratio q = 4 delta^2 / spread."""
+    gamma = q / (math.sqrt(1.0 + q) + 1.0)
+    return 0.5 * (gamma - math.log1p(0.5 * gamma)), gamma
+
+
+def optimal_tilt(delta: float, spread: float) -> float:
+    """Unrestricted maximizer of tilt*delta + (1/2)ln(1 - tilt^2*spread).
+
+    Returns 0 for delta = 0 by continuity.  Rationalized form avoids the
+    sqrt cancellation for small delta (series limit delta/spread).
+    """
+    if delta < 0:
+        raise ValueError(f"gap must be nonnegative, got {delta}")
+    if not 0.0 < spread <= 1.0:
+        raise ValueError(f"spread must be in (0, 1], got {spread}")
+    if delta == 0.0:
+        return 0.0
+    q = 4.0 * delta * delta / spread
+    return 2.0 * delta / (spread * (1.0 + math.sqrt(1.0 + q)))
+
+
+def deviation_exponent(delta: float, spread: float) -> ExponentResult:
+    """Exponent maximized over all nonnegative tilts.
+
+    Zero spread is the perfectly correlated pair: the supremum is unbounded
+    for positive gap, reported as an infinite sentinel.
+    """
+    _validate(delta, spread)
+    if delta == 0.0:
+        branch = Branch.DEGENERATE_ZERO_SPREAD if spread == 0.0 else Branch.INTERIOR
+        return ExponentResult(0.0, 0.0, branch)
+    if spread == 0.0:
+        return ExponentResult(math.inf, math.inf, Branch.DEGENERATE_ZERO_SPREAD)
+    value, _ = _exponent_from_ratio(4.0 * delta * delta / spread)
+    return ExponentResult(value, optimal_tilt(delta, spread), Branch.INTERIOR)
+
+
+def capped_deviation_exponent(delta: float, spread: float) -> ExponentResult:
+    """Exponent with the tilt restricted to [0, 1].
+
+    Matches the unrestricted exponent while the optimal tilt stays below 1
+    (gap < spread/(1-spread)); beyond that the tilt clamps and the value is
+    delta + (1/2)ln(1-spread).  Zero spread gives exactly delta.
+    """
+    _validate(delta, spread)
+    if spread == 0.0:
+        return ExponentResult(delta, 1.0 if delta > 0.0 else 0.0,
+                              Branch.DEGENERATE_ZERO_SPREAD)
+    if delta == 0.0:
+        return ExponentResult(0.0, 0.0, Branch.INTERIOR)
+    lam = optimal_tilt(delta, spread)
+    if lam >= 1.0:
+        return ExponentResult(delta + 0.5 * math.log1p(-spread), 1.0,
+                              Branch.CLAMPED_AT_ONE)
+    value, _ = _exponent_from_ratio(4.0 * delta * delta / spread)
+    return ExponentResult(value, lam, Branch.INTERIOR)
+
+
 def grid_max_exponent(delta: float, spread: float, lam_hi: float,
                       step: float = 1e-5) -> float:
     """Maximize lam*delta + 0.5*ln(1 - lam^2*spread) on a dense tilt grid."""
@@ -53,6 +137,54 @@ def grid_max_exponent(delta: float, spread: float, lam_hi: float,
     vals = np.where(arg > 0.0, lam * delta + 0.5 * np.log(np.maximum(arg, 1e-300)),
                     -np.inf)
     return float(np.max(vals))
+
+
+def binomial_sf(k: int, n: int, p: float) -> float:
+    """P[Bin(n, p) >= k], exact via log-space summation."""
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    total = 0.0
+    for i in range(k, n + 1):
+        total += math.exp(math.lgamma(n + 1) - math.lgamma(i + 1)
+                          - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
+    return min(1.0, total)
+
+
+def coverage_critical_count(n: int, p: float, significance: float = 0.01) -> int:
+    """Largest violation count consistent with rate p at the given level.
+
+    Returns the greatest k with P[Bin(n, p) >= k] >= significance; observing
+    more than k violations rejects the claimed coverage.
+    """
+    k = 0
+    while k <= n and binomial_sf(k + 1, n, p) >= significance:
+        k += 1
+    return k
+
+
+def wilson_upper_bisect(successes: int, trials: int, z: float) -> float:
+    """Upper end of the score-test interval by bisection on p in [phat, 1].
+
+    The interval holds the p with (phat - p)^2 <= z^2 p (1 - p) / trials.
+    """
+    phat = successes / trials
+    lo, hi = phat, 1.0
+    if (hi - phat) ** 2 <= z * z * hi * (1.0 - hi) / trials:
+        return 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (mid - phat) ** 2 <= z * z * mid * (1.0 - mid) / trials:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def q_inverse_bisect(eps: float) -> float:
@@ -87,18 +219,38 @@ def acklam_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
+def inverse_deviation_bisect(r: float) -> float:
+    """Gap whose unit-spread exponent (the scalar closed form above) equals r.
+
+    Plain bisection, independent of the library's shared inverter.
+    """
+    f = lambda d: deviation_exponent(d, 1.0).value
+    hi = 1.0
+    while f(hi) < r:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < r:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def min_gap_branch_formula(ell: int, L: int, n_real: float, v: float) -> float:
     """Closed-form value of sparclab.geometry.min_gap via the inverse exponent.
 
     Uses the scaled inverse while the implied tilt stays below one, and the
     clamped-branch linear solution beyond; the library finds the same gap
-    by bisection on the capped exponent.
+    by bisection on the capped exponent.  The inverse is a plain bisection
+    on the oracle exponent, so no library solver is shared.
     """
     if not 1 <= ell <= L - 1:
         raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}, L={L}")
     r = combinatorial_rate(ell, L, n_real)
     s = spread_refined(ell / L, v)
-    g = inverse_deviation_exponent(r)
+    g = inverse_deviation_bisect(r)
     rho_sq = 1.0 - s
     if g < math.sqrt(s) / rho_sq:
         return math.sqrt(s) * g

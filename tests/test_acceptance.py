@@ -37,9 +37,8 @@ from sparclab.geometry import (
 )
 from sparclab.harness import ExperimentConfig, run_monte_carlo
 from sparclab.rs import Field, RSSpec, compose_decode, compose_encode, rs_decode, rs_encode
-from sparclab.stats import coverage_critical_count
 
-from oracles import brute_force_decode, grid_max_exponent
+from oracles import brute_force_decode, coverage_critical_count, grid_max_exponent
 
 
 def report(criterion: str, checks: list[tuple[str, bool]], elapsed: float) -> None:
@@ -60,9 +59,9 @@ def test_criterion_1_exponent_oracle_equivalence():
     for d, s in itertools.product(deltas, spreads):
         lam_hi = min(10.0, 1.0 / math.sqrt(s))
         worst_full = max(worst_full, abs(
-            deviation_exponent(d, s).value - grid_max_exponent(d, s, lam_hi)))
+            deviation_exponent(d, s) - grid_max_exponent(d, s, lam_hi)))
         worst_capped = max(worst_capped, abs(
-            capped_deviation_exponent(d, s).value - grid_max_exponent(d, s, 1.0)))
+            capped_deviation_exponent(d, s) - grid_max_exponent(d, s, 1.0)))
     elapsed = time.perf_counter() - start
     report("1 (exponent closed forms vs tilt-grid oracle)", [
         (f"unrestricted within 1e-6 (worst {worst_full:.2e})", worst_full <= 1e-6),

@@ -67,7 +67,7 @@ class TestUnionBound:
         v, L, ell = 15.0, 100, 10
         alpha = ell / L
         gap = partial_capacity(alpha, v) - alpha * q.code.rate
-        expo = capped_deviation_exponent(gap, spread_direct(alpha, v)).value
+        expo = capped_deviation_exponent(gap, spread_direct(alpha, v))
         expected = math.exp(log_binomial(L, ell) - q.code.n_real * expo)
         assert union_bound(ell, q) == pytest.approx(expected, rel=1e-12)
 

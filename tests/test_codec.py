@@ -15,7 +15,6 @@ from sparclab.codec import (
     decoding_statistic,
     encode,
     generate_dictionary,
-    normalized_inner,
     normalized_power,
     synthesize,
     to_bits,
@@ -420,7 +419,3 @@ class TestCountMistakes:
 class TestNorms:
     def test_normalized_power(self):
         assert normalized_power(np.array([3.0, 4.0])) == pytest.approx(12.5)
-
-    def test_normalized_inner(self):
-        assert normalized_inner(np.array([1.0, 2.0]),
-                                np.array([3.0, 4.0])) == pytest.approx(5.5)

@@ -24,7 +24,8 @@ from sparclab.diagnostics import (
     worst_case_power_bound,
 )
 from sparclab.geometry import ChannelSpec, CodeSpec
-from sparclab.stats import coverage_critical_count
+
+from oracles import coverage_critical_count
 
 CH15 = ChannelSpec.from_snr(15.0)
 
@@ -217,3 +218,13 @@ class TestPowerReport:
         assert rep.avg_power == pytest.approx(average_power_signed(d), rel=1e-12)
         assert rep.analytic_sd == pytest.approx(
             signed_power_sd(CH15.P, 8, 16, d.n), rel=1e-12)
+
+    def test_readme_simulate_inner_product_bound_pinned(self):
+        # The README simulate config's report field.  It was 6.680675744151989
+        # while inverse_deviation_exponent bisected on a math.log1p copy of the
+        # exponent; the array form's np.log1p moved it by one ulp.
+        code = CodeSpec(L=4, B=16, rate=0.6 * CH15.capacity)
+        rep = power_report(generate_dictionary(code, CH15, 7), CH15, code)
+        earlier = 6.680675744151989
+        assert abs(rep.inner_product_bound - earlier) <= math.ulp(earlier)
+        assert rep.inner_product_bound == pytest.approx(earlier, rel=1e-15)

@@ -1,4 +1,5 @@
-"""Exponent kernel: closed forms against dense-grid maximization oracles."""
+"""Exponent kernel: closed forms against dense-grid maximization oracles and
+against the scalar closed forms they replaced."""
 
 import math
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from sparclab.exponents import (
-    Branch,
     _capped_exponent_array,
     _exponent_array,
     capped_deviation_exponent,
@@ -18,7 +18,8 @@ from sparclab.exponents import (
     statistic_cgf,
 )
 
-from oracles import grid_max_exponent
+import oracles
+from oracles import Branch, grid_max_exponent
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -29,25 +30,25 @@ SPREADS = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
 
 class TestDeviationExponent:
     def test_zero_gap_is_zero(self):
-        r = deviation_exponent(0.0, 0.5)
-        assert r.value == 0.0
-        assert r.lambda_opt == 0.0
+        assert deviation_exponent(0.0, 0.5) == 0.0
+        assert optimal_tilt(0.0, 0.5) == 0.0
 
     def test_closed_form_sqrt3_case(self):
         # q = 3, gamma = 1 exactly; grid oracle gave 0.29726744594.
-        r = deviation_exponent(SQRT3_2, 1.0)
-        assert r.value == pytest.approx(0.2972674459459178, abs=1e-12)
-        assert r.lambda_opt == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+        assert deviation_exponent(SQRT3_2, 1.0) == pytest.approx(0.2972674459459178,
+                                                                 abs=1e-12)
+        assert optimal_tilt(SQRT3_2, 1.0) == pytest.approx(1.0 / math.sqrt(3.0),
+                                                           abs=1e-12)
 
     def test_closed_form_unit_case(self):
         # grid oracle (step 1e-5) gave 0.37742807619.
-        assert deviation_exponent(1.0, 1.0).value == pytest.approx(
+        assert deviation_exponent(1.0, 1.0) == pytest.approx(
             0.3774280762200931, abs=1e-10)
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("spread", SPREADS)
     def test_matches_grid_oracle(self, delta, spread):
-        closed = deviation_exponent(delta, spread).value
+        closed = deviation_exponent(delta, spread)
         grid = grid_max_exponent(delta, spread, min(10.0, 1.0 / math.sqrt(spread)))
         assert closed == pytest.approx(grid, abs=1e-6)
 
@@ -56,13 +57,12 @@ class TestDeviationExponent:
     def test_gamma_quarter_lower_bound(self, delta, spread):
         q = 4.0 * delta * delta / spread
         gamma = math.sqrt(1.0 + q) - 1.0
-        assert deviation_exponent(delta, spread).value >= gamma / 4.0 - 1e-12
+        assert deviation_exponent(delta, spread) >= gamma / 4.0 - 1e-12
 
     def test_zero_spread_sentinel(self):
-        r = deviation_exponent(1.0, 0.0)
-        assert math.isinf(r.value)
-        assert r.branch is Branch.DEGENERATE_ZERO_SPREAD
-        assert deviation_exponent(0.0, 0.0).value == 0.0
+        assert math.isinf(deviation_exponent(1.0, 0.0))
+        assert oracles.deviation_exponent(1.0, 0.0).branch is Branch.DEGENERATE_ZERO_SPREAD
+        assert deviation_exponent(0.0, 0.0) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -72,35 +72,40 @@ class TestDeviationExponent:
 
     def test_monotone_in_gap_and_spread(self):
         for spread in SPREADS:
-            vals = [deviation_exponent(d, spread).value for d in DELTAS]
+            vals = [deviation_exponent(d, spread) for d in DELTAS]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
         for delta in DELTAS:
-            vals = [deviation_exponent(delta, s).value for s in SPREADS]
+            vals = [deviation_exponent(delta, s) for s in SPREADS]
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
 class TestCappedDeviationExponent:
     def test_zero_spread_equals_gap(self):
-        r = capped_deviation_exponent(0.7, 0.0)
-        assert r.value == 0.7
-        assert r.branch is Branch.DEGENERATE_ZERO_SPREAD
+        assert capped_deviation_exponent(0.7, 0.0) == 0.7
+        assert oracles.capped_deviation_exponent(0.7, 0.0).branch \
+            is Branch.DEGENERATE_ZERO_SPREAD
 
     def test_clamped_case(self):
         # gap 2 >= spread/(1-spread) = 1, so the tilt clamps at one.
-        r = capped_deviation_exponent(2.0, 0.5)
-        assert r.value == pytest.approx(2.0 + 0.5 * math.log(0.5), abs=1e-12)
+        value = capped_deviation_exponent(2.0, 0.5)
+        assert value == pytest.approx(2.0 + 0.5 * math.log(0.5), abs=1e-12)
+        assert value == 2.0 + 0.5 * math.log1p(-0.5)
+        assert optimal_tilt(2.0, 0.5) >= 1.0
+        r = oracles.capped_deviation_exponent(2.0, 0.5)
         assert r.branch is Branch.CLAMPED_AT_ONE
         assert r.lambda_opt == 1.0
 
     def test_interior_case_matches_unrestricted(self):
-        r = capped_deviation_exponent(SQRT3_2, 1.0)
-        assert r.branch is Branch.INTERIOR
-        assert r.value == pytest.approx(0.2972674459459178, abs=1e-12)
+        assert optimal_tilt(SQRT3_2, 1.0) < 1.0
+        assert oracles.capped_deviation_exponent(SQRT3_2, 1.0).branch is Branch.INTERIOR
+        value = capped_deviation_exponent(SQRT3_2, 1.0)
+        assert value == pytest.approx(0.2972674459459178, abs=1e-12)
+        assert value == deviation_exponent(SQRT3_2, 1.0)
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("spread", SPREADS)
     def test_matches_grid_oracle(self, delta, spread):
-        closed = capped_deviation_exponent(delta, spread).value
+        closed = capped_deviation_exponent(delta, spread)
         grid = grid_max_exponent(delta, spread, 1.0)
         assert closed == pytest.approx(grid, abs=1e-6)
 
@@ -109,26 +114,34 @@ class TestCappedDeviationExponent:
     def test_below_unrestricted_with_equality_iff_interior(self, delta, spread):
         capped = capped_deviation_exponent(delta, spread)
         full = deviation_exponent(delta, spread)
-        assert capped.value <= full.value + 1e-12
-        if capped.branch is Branch.INTERIOR:
-            assert capped.value == pytest.approx(full.value, abs=1e-12)
-        elif optimal_tilt(delta, spread) > 1.0 + 1e-9:
+        assert capped <= full + 1e-12
+        lam = optimal_tilt(delta, spread)
+        if lam < 1.0:
+            assert capped == pytest.approx(full, abs=1e-12)
+        elif lam > 1.0 + 1e-9:
             # strictly clamped (the boundary tilt-of-one case has equality)
-            assert capped.value < full.value
+            assert capped < full
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("spread", SPREADS)
     def test_clamped_branch_between_half_gap_and_gap(self, delta, spread):
-        r = capped_deviation_exponent(delta, spread)
-        if r.branch is Branch.CLAMPED_AT_ONE:
-            assert r.value >= delta - 0.5 * math.log1p(delta) - 1e-12
-            assert delta / 2.0 - 1e-12 <= r.value <= delta
+        value = capped_deviation_exponent(delta, spread)
+        if optimal_tilt(delta, spread) >= 1.0:
+            assert value >= delta - 0.5 * math.log1p(delta) - 1e-12
+            assert delta / 2.0 - 1e-12 <= value <= delta
 
-    def test_branch_flag_follows_unrestricted_tilt(self):
+    def test_branch_follows_unrestricted_tilt(self):
+        # clamped iff the unrestricted tilt reaches one, and then the value is
+        # the clamped formula exactly; the oracle's branch flag agrees
         for delta in DELTAS:
             for spread in SPREADS:
-                r = capped_deviation_exponent(delta, spread)
                 clamped = optimal_tilt(delta, spread) >= 1.0
+                value = capped_deviation_exponent(delta, spread)
+                if clamped:
+                    assert value == delta + 0.5 * math.log1p(-spread)
+                else:
+                    assert value == deviation_exponent(delta, spread)
+                r = oracles.capped_deviation_exponent(delta, spread)
                 assert (r.branch is Branch.CLAMPED_AT_ONE) == clamped
 
 
@@ -162,7 +175,7 @@ class TestInverseFunctions:
         assert inverse_chi_square_exponent(0.0) == 0.0
 
     def test_round_trip_through_unit_exponent(self):
-        r = deviation_exponent(1.0, 1.0).value
+        r = deviation_exponent(1.0, 1.0)
         assert inverse_deviation_exponent(r) == pytest.approx(1.0, rel=1e-9)
 
     def test_small_argument_asymptote(self):
@@ -172,7 +185,7 @@ class TestInverseFunctions:
     @pytest.mark.parametrize("r", [1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0])
     def test_round_trips(self, r):
         d = inverse_deviation_exponent(r)
-        assert deviation_exponent(d, 1.0).value == pytest.approx(r, rel=1e-9)
+        assert deviation_exponent(d, 1.0) == pytest.approx(r, rel=1e-9)
         x = inverse_chi_square_exponent(r)
         assert chi_square_exponent(x) == pytest.approx(r, rel=1e-9)
 
@@ -218,11 +231,11 @@ class TestTestStatisticCgf:
         vals = [lam * delta - statistic_cgf(lam, alpha, v) for lam in lams]
         spread = alpha * v / (1.0 + alpha * v)
         assert max(vals) == pytest.approx(
-            capped_deviation_exponent(delta, spread).value, abs=1e-6)
+            capped_deviation_exponent(delta, spread), abs=1e-6)
 
 
-class TestArrayForms:
-    """The array forms the bound engine uses agree with the scalar API."""
+class TestOracleDifferential:
+    """The array forms against the scalar closed forms they replaced."""
 
     @staticmethod
     def grid():
@@ -238,36 +251,121 @@ class TestArrayForms:
 
     @staticmethod
     def assert_agree(got, want):
-        for g, w in zip(got.tolist(), want):
-            if math.isinf(w) or w == 0.0:
-                assert g == w
+        """Exact where the oracle's value is 0 or inf, on the clamped branch
+        and at zero spread; within 1e-14 relative elsewhere."""
+        assert len(got) == len(want)
+        for g, r in zip(got, want):
+            if math.isinf(r.value) or r.value == 0.0 or r.branch is not Branch.INTERIOR:
+                assert g == r.value
             else:
-                assert g == pytest.approx(w, rel=1e-14)
+                assert g == pytest.approx(r.value, rel=1e-14)
 
-    def test_capped_matches_scalar(self):
+    def test_capped_array_matches_oracle(self):
         delta, spread = self.grid()
-        want = [capped_deviation_exponent(d, s).value
+        want = [oracles.capped_deviation_exponent(d, s)
                 for d, s in zip(delta.tolist(), spread.tolist())]
-        self.assert_agree(_capped_exponent_array(delta, spread), want)
+        got = capped_deviation_exponent(delta, spread)
+        self.assert_agree(got.tolist(), want)
+        assert got.tolist() == _capped_exponent_array(delta, spread).tolist()
+        assert any(r.branch is Branch.CLAMPED_AT_ONE for r in want)
 
-    def test_unrestricted_matches_scalar(self):
+    def test_unrestricted_array_matches_oracle(self):
         delta, spread = self.grid()
-        want = [deviation_exponent(d, s).value
+        want = [oracles.deviation_exponent(d, s)
                 for d, s in zip(delta.tolist(), spread.tolist())]
-        self.assert_agree(_exponent_array(delta, spread), want)
+        got = deviation_exponent(delta, spread)
+        self.assert_agree(got.tolist(), want)
+        assert got.tolist() == _exponent_array(delta, spread).tolist()
 
-    def test_branch_choice_matches_scalar_at_tilt_one(self):
+    def test_scalar_calls_match_oracle(self):
+        delta, spread = self.grid()
+        pairs = list(zip(delta.tolist(), spread.tolist()))
+        self.assert_agree([capped_deviation_exponent(d, s) for d, s in pairs],
+                          [oracles.capped_deviation_exponent(d, s) for d, s in pairs])
+        self.assert_agree([deviation_exponent(d, s) for d, s in pairs],
+                          [oracles.deviation_exponent(d, s) for d, s in pairs])
+
+    def test_tilt_matches_oracle_exactly(self):
+        delta, spread = self.grid()
+        keep = spread > 0.0
+        delta, spread = delta[keep], spread[keep]
+        want = [oracles.optimal_tilt(d, s) for d, s in zip(delta.tolist(), spread.tolist())]
+        assert optimal_tilt(delta, spread).tolist() == want
+
+    def test_clamped_branch_taken_where_oracle_clamps(self):
         # on the boundary grid the clamped branch is taken exactly where the
-        # scalar form reports CLAMPED_AT_ONE, with the same math.log1p offset
+        # oracle reports CLAMPED_AT_ONE, with the same math.log1p offset
         delta, spread = self.grid()
         for d, s in zip(delta.tolist(), spread.tolist()):
             if 0.0 < s < 1.0 and d > 0.0:
-                r = capped_deviation_exponent(d, s)
-                got = float(_capped_exponent_array(np.array([d]), np.array([s]))[0])
-                if r.branch is Branch.CLAMPED_AT_ONE:
-                    assert got == r.value
+                clamped = oracles.capped_deviation_exponent(d, s).branch is Branch.CLAMPED_AT_ONE
+                assert (optimal_tilt(d, s) >= 1.0) == clamped
+                if clamped:
+                    assert capped_deviation_exponent(d, s) == d + 0.5 * math.log1p(-s)
 
-    def test_negative_gap_is_zero(self):
+    def test_negative_gap_is_zero_in_kernels(self):
         d = np.array([-1.0, -1e-9])
         assert _exponent_array(d, np.array([0.5, 0.0])).tolist() == [0.0, 0.0]
         assert _capped_exponent_array(d, np.array([0.5, 0.0])).tolist() == [0.0, 0.0]
+
+
+class TestElementwiseApi:
+    def test_scalar_in_float_out(self):
+        for fn in (deviation_exponent, capped_deviation_exponent, optimal_tilt):
+            assert type(fn(0.5, 0.5)) is float
+            assert type(fn(np.float64(0.5), 1)) is float
+
+    def test_broadcasts(self):
+        deltas = np.array([[0.1], [1.0], [3.0]])
+        spreads = np.array([0.2, 0.5, 0.8, 1.0])
+        for fn in (deviation_exponent, capped_deviation_exponent, optimal_tilt):
+            got = fn(deltas, spreads)
+            assert got.shape == (3, 4)
+            for i, d in enumerate(deltas.ravel().tolist()):
+                want = [fn(d, s) for s in spreads.tolist()]
+                assert got[i].tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("fn", [deviation_exponent, capped_deviation_exponent,
+                                    optimal_tilt])
+    def test_one_bad_element_raises(self, fn):
+        with pytest.raises(ValueError, match="gap"):
+            fn(np.array([0.1, 0.2, -1e-3]), 0.5)
+        with pytest.raises(ValueError, match="spread"):
+            fn(0.1, np.array([0.2, 1.5, 0.5]))
+        with pytest.raises(ValueError, match="spread"):
+            fn(np.array([0.1, 0.2]), np.array([0.5, -0.1]))
+
+    def test_tilt_rejects_zero_spread(self):
+        with pytest.raises(ValueError, match="spread"):
+            optimal_tilt(np.array([0.1, 0.2]), np.array([0.5, 0.0]))
+        assert deviation_exponent(np.array([0.1, 0.0]), 0.0).tolist() == [math.inf, 0.0]
+
+
+class TestInversesPinned:
+    """The shared inverter keeps the values of the per-function loops it replaced."""
+
+    RS = [1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]
+    # inverse_deviation_exponent and inverse_chi_square_exponent at RS, from
+    # their earlier separate bisect-then-Newton loops
+    DEVIATION = [1.414213562373802e-06, 0.001414214269479228, 0.04474369977984731,
+                 0.1421221268722113, 0.46788910705650333, 1.1908264618599151,
+                 1.8822647176901106, 4.2531907219965595, 11.742240019985783,
+                 102.81769447336958]
+    CHI_SQUARE = [2.000001333436167e-06, 0.0020013335554962823, 0.06458585479903411,
+                  0.21354970715172958, 0.7722498296092303, 2.1461932206205825,
+                  3.5052414957928835, 8.22154230138681, 23.185764204040805,
+                  205.3294742808408]
+
+    def test_deviation_inverse(self):
+        got = [inverse_deviation_exponent(r) for r in self.RS]
+        assert got == pytest.approx(self.DEVIATION, rel=1e-14, abs=0.0)
+
+    def test_chi_square_inverse(self):
+        got = [inverse_chi_square_exponent(r) for r in self.RS]
+        assert got == pytest.approx(self.CHI_SQUARE, rel=1e-14, abs=0.0)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            inverse_deviation_exponent(-1e-9)
+        with pytest.raises(ValueError):
+            inverse_chi_square_exponent(-1e-9)

@@ -240,7 +240,7 @@ class TestMinGap:
             d = min_gap(ell, 100, code.n_real, 15.0)
             target = log_binomial(100, ell)
             got = code.n_real * capped_deviation_exponent(
-                d, spread_refined(ell / 100, 15.0)).value
+                d, spread_refined(ell / 100, 15.0))
             assert abs(got - target) <= 1e-9 * target
 
     def test_branch_formula_agrees(self):
@@ -266,6 +266,24 @@ class TestMinGap:
             branches.add(g < math.sqrt(s) / (1 - s))
         assert branches == {True, False}
 
+    # min_gap at (ell, L, n, v), from its earlier bisect-then-Newton loop
+    PINNED = [
+        ((1, 10, 50.0, 0.5), 0.06795301318907741),
+        ((3, 10, 50.0, 15.0), 0.34587796854896036),
+        ((9, 10, 50.0, 10000.0), 0.09809030194999731),
+        ((1, 100, 900.0, 15.0), 0.03644478952637405),
+        ((33, 100, 900.0, 0.5), 0.11757086310326684),
+        ((33, 100, 900.0, 10000.0), 0.31084066759066),
+        ((99, 100, 900.0, 15.0), 0.009823481327980152),
+        ((1, 30, 4000.0, 10000.0), 0.04050170281199049),
+        ((10, 30, 4000.0, 15.0), 0.06930631193231167),
+        ((29, 30, 4000.0, 0.5), 0.004299606847016129),
+    ]
+
+    @pytest.mark.parametrize("args, want", PINNED)
+    def test_pinned_values(self, args, want):
+        assert min_gap(*args) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             min_gap(0, 100, 928.57, 15.0)
@@ -282,6 +300,15 @@ class TestSectionSizeRateFinite:
         surpluses = [combinatorial_surplus_at_n(ell, L, n, v) for ell in range(1, L)]
         assert min(surpluses) == pytest.approx(0.0, abs=1e-9)
         assert all(s >= -1e-9 for s in surpluses)
+
+    @pytest.mark.parametrize("v", [0.5, 7.0, 15.0, 1e6])
+    @pytest.mark.parametrize("L", [3, 20, 100])
+    def test_equals_per_ell_loop(self, v, L):
+        rate = 0.9 * capacity(v)
+        scale = L * math.log(L)
+        loop = max(rate * log_binomial(L, ell) / (shape_exponent(ell, L, v) * scale)
+                   for ell in range(1, L))
+        assert section_size_rate_finite(v, L, rate) == pytest.approx(loop, rel=1e-15)
 
     def test_frozen_value_at_v15_L64(self):
         assert section_size_rate_finite(15.0, 64, capacity(15.0)) == pytest.approx(
@@ -369,6 +396,18 @@ class TestCombinatorialSurplus:
         code = fig2_code()
         assert combinatorial_surplus(0, code, 15.0) == 0.0
         assert combinatorial_surplus(100, code, 15.0) == 0.0
+
+    def test_elementwise_with_zero_endpoints(self):
+        code = fig2_code()
+        ells = np.arange(0, 101)
+        got = combinatorial_surplus(ells, code, 15.0)
+        assert got.shape == (101,)
+        assert got[0] == 0.0 and got[100] == 0.0
+        want = [combinatorial_surplus(ell, code, 15.0) for ell in range(101)]
+        assert got.tolist() == pytest.approx(want, rel=0.0, abs=1e-10)
+        assert type(combinatorial_surplus(7, code, 15.0)) is float
+        with pytest.raises(ValueError):
+            combinatorial_surplus(np.array([5, 101]), code, 15.0)
 
     def test_positive_at_midpoint_of_fig2_grid(self):
         # The fig2 configuration has a < a_{v,L}, so nonnegativity is not

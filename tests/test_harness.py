@@ -1,6 +1,7 @@
 """Monte Carlo driver: determinism, aggregation, curve CSVs."""
 
 import concurrent.futures
+import math
 import os
 
 import pytest
@@ -9,6 +10,7 @@ from sparclab.bounds import BoundQuery, mistake_tail_bound
 from sparclab.geometry import ChannelSpec, CodeSpec, capacity, combinatorial_surplus
 from sparclab.harness import (
     ExperimentConfig,
+    _wilson_upper,
     bounds_table,
     emit_curves,
     fig3_rows,
@@ -18,6 +20,8 @@ from sparclab.harness import (
     run_monte_carlo,
     simulate_csv,
 )
+
+from oracles import wilson_upper_bisect
 
 C15 = capacity(15.0)
 
@@ -142,6 +146,25 @@ class TestRunMonteCarlo:
     def test_power_report_attached(self):
         rep = run_monte_carlo(mini_config(trials=5))
         assert rep.power.analytic_mean == 15.0
+
+
+class TestWilsonUpper:
+    Z99 = 2.5758293035489004
+
+    def test_zero_successes_closed_form(self):
+        z = 2.576
+        assert _wilson_upper(0, 100, z) == pytest.approx(z * z / (100 + z * z), rel=1e-15)
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 200), (1, 200), (3, 10), (5, 10),
+                                      (37, 100), (99, 100), (100, 100)])
+    def test_matches_score_test_bisection(self, k, n):
+        got = _wilson_upper(k, n)
+        assert got == pytest.approx(wilson_upper_bisect(k, n, self.Z99), abs=1e-12)
+        assert k / n <= got <= 1.0
+
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError):
+            _wilson_upper(0, 0)
 
 
 class TestCsvFormatting:

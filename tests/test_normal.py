@@ -1,10 +1,12 @@
 """Standard-normal CDF and quantile."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from sparclab.bounds import normal_approximation_rate
 from sparclab.normal import normal_cdf, normal_quantile, q_inverse
 
 from oracles import acklam_quantile, q_inverse_bisect
@@ -13,8 +15,8 @@ from oracles import acklam_quantile, q_inverse_bisect
 def quantile_points() -> np.ndarray:
     """Seeded p over both tails and the centre, with the branch edges.
 
-    The lower tail reaches the smallest normal float; for subnormal p
-    below about 1e-310 the Halley step overflows.
+    The lower tail reaches the smallest normal float; subnormal p is
+    rejected (the Halley step's exp(x^2/2) would overflow there).
     """
     rng = np.random.default_rng(1006)
     p = np.concatenate([
@@ -46,3 +48,20 @@ class TestNormalQuantile:
     def test_outside_open_unit_interval_rejected(self, p):
         with pytest.raises(ValueError):
             normal_quantile(p)
+
+    def test_smallest_normal_float_keeps_its_value(self):
+        p = sys.float_info.min
+        assert normal_quantile(p) == acklam_quantile(p)
+        assert normal_quantile(p) == pytest.approx(-37.519379347, abs=1e-9)
+        assert q_inverse(p) == -normal_quantile(p)
+        assert math.isfinite(normal_approximation_rate(20.0, 100.0, p))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-311, 1e-310,
+                                   float(np.nextafter(sys.float_info.min, 0.0))])
+    def test_subnormal_rejected_with_range(self, p):
+        with pytest.raises(ValueError, match="p in"):
+            normal_quantile(p)
+        with pytest.raises(ValueError, match="p in"):
+            q_inverse(p)
+        with pytest.raises(ValueError, match="p in"):
+            normal_approximation_rate(20.0, 100.0, p)
