@@ -94,13 +94,14 @@ class TailBound:
     policy: str = "split"
 
 
-def _cells(ells, L: int, n, v: float, rate, t: float) -> np.ndarray:
+def _cells(ells, L: int, n, v, rate, t: float) -> np.ndarray:
     """Per-cell inputs of both bounds, one row each, as a (6, cells) array.
 
-    Cell i is mistake count ells[i] at codelength n[i] and rate rate[i] (n
-    and rate may be scalars shared by all cells).  The rows are n, the gap
-    room = C_alpha - alpha R - t, ln(L choose ell), and the direct, refined
-    and star spreads, the last being the direct spread at alpha^2.
+    Cell i is mistake count ells[i] at codelength n[i], snr v[i] and rate
+    rate[i] (n, v and rate may be scalars shared by all cells).  The rows
+    are n, the gap room = C_alpha - alpha R - t, ln(L choose ell), and the
+    direct, refined and star spreads, the last being the direct spread at
+    alpha^2.
     """
     ells = np.asarray(ells, dtype=np.int64).ravel()
     alpha = ells / L
@@ -110,10 +111,14 @@ def _cells(ells, L: int, n, v: float, rate, t: float) -> np.ndarray:
         spread_refined(alpha, v), spread_direct(alpha * alpha, v)))
 
 
-def _union_logs(cells: np.ndarray) -> np.ndarray:
-    """ln of the single-term bound per cell, before clamping."""
+def _union_logs(cells, clamp=None) -> np.ndarray:
+    """ln of the single-term bound per cell, before clamping.
+
+    clamp is the direct spread's clamp offset, (1/2)ln(1 - s_direct); it
+    defaults to the exponent kernel's.
+    """
     n, room, log_comb, s_direct, _, _ = cells
-    return log_comb - n * _capped_exponent_array(room, s_direct)
+    return log_comb - n * _capped_exponent_array(room, s_direct, clamp)
 
 
 def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
@@ -139,11 +144,9 @@ def _split_optimize(ells, L: int, n, v: float, rate, t: float,
 def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
     """Optimize the split bound over the open threshold interval of each cell.
 
-    Each cell of a _cells table gets a uniform grid, then golden-section
-    refinement around the grid minimum; the refinement runs on every cell
-    in lockstep, with per-cell masks for the bracket update and the early
-    exit.  Returns arrays (log_total, t_alpha, log_main, log_star); a cell
-    whose threshold leaves no room gives (0, t, 0, 0).
+    The cells are the columns of a _cells table; _split_search does the
+    optimization.  Returns arrays (log_total, t_alpha, log_main, log_star);
+    a cell whose threshold leaves no room gives (0, t, 0, 0).
     """
     out = np.zeros((4, cells.shape[1]))
     out[1] = t
@@ -151,11 +154,34 @@ def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
     if not has_room.any():
         return tuple(out)
     n, room, log_comb, _, s_main, s_star = cells[:, has_room]
-    # one row per parameter: n, log_comb, s_main, clamp, s_star, room; the
-    # clamp offset takes math's log1p, as the scalar exponent has it
+    # the clamp offset takes math's log1p, as the scalar exponent has it
     P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
-    m = room.size
+    x_opt, _ = _split_search(P, t, grid_points)
+    main, star = _split_terms(x_opt, t, *P)
+    out[:, has_room] = np.logaddexp(main, star), x_opt, main, star
+    return tuple(out)
 
+
+def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
+                  stop: float | None = None, groups=None):
+    """Grid stage, then golden-section refinement around each grid minimum.
+
+    P has one column per cell with room and one row per parameter: n,
+    log_comb, s_main, clamp, s_star, room.  The refinement runs on every
+    cell in lockstep, with per-cell masks for the bracket update and the
+    exits.  Returns (t_alpha, log_total): per cell, the best threshold the
+    search evaluated and its value.
+
+    Golden-section search keeps the better of its two interior points, so
+    the returned value is the smallest one evaluated.  Given a ``stop``
+    level, a cell therefore leaves at its first value at or below it, and
+    its result is at or below ``stop`` exactly when the full search would
+    end there.  ``groups`` (an integer label per cell) comes with ``stop``:
+    a cell that finishes above ``stop`` ends its group, whose other cells
+    leave where they are, above ``stop``.
+    """
+    room = P[5]
+    m = room.size
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
     lo, hi, x_grid, f_grid = (np.empty(m) for _ in range(4))
     for start in range(0, m, _GRID_CHUNK):
@@ -175,13 +201,19 @@ def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
     def f(x, params):
         return np.logaddexp(*_split_terms(x, t, *params))
 
-    a, b = lo, hi
+    final = np.full((4, m), np.inf)                  # c, d, fc, fd at exit
+    if stop is None:
+        live, params, a, b = np.arange(m), P, lo, hi
+    else:   # cells the grid settles skip the refinement
+        live = np.flatnonzero(f_grid > stop)
+        params, a, b = P[:, live], lo[live], hi[live]
+        dead = np.zeros(groups.max(initial=-1) + 1, dtype=bool)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    S = np.stack([a, b, c, d, f(c, P), f(d, P)])   # a, b, c, d, fc, fd
-    final = np.empty((4, m))                         # c, d, fc, fd at exit
-    live, params = np.arange(m), P
+    S = np.stack([a, b, c, d, f(c, params), f(d, params)])   # a, b, c, d, fc, fd
     for _ in range(60):
+        if not live.size:
+            break
         a, b, c, d, fc, fd = S
         left = fc < fd
         a = np.where(left, a, c)
@@ -191,20 +223,21 @@ def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
         S = np.stack([a, b, np.where(left, x, d), np.where(left, c, x),
                       np.where(left, fx, fd), np.where(left, fc, fx)])
         done = b - a <= 1e-14 * params[5]
+        if stop is not None:
+            hit = np.minimum(S[4], S[5]) <= stop
+            dead[groups[live[done & ~hit]]] = True
+            done |= hit | dead[groups[live]]
         if done.any():
             final[:, live[done]] = S[2:, done]
             keep = ~done
             S, params, live = S[:, keep], params[:, keep], live[keep]
-            if not live.size:
-                break
     final[:, live] = S[2:]
 
     c, d, fc, fd = final
-    x_opt = np.where(fc < fd, c, d)
-    x_opt = np.where(f_grid < np.where(fd < fc, fd, fc), x_grid, x_opt)
-    main, star = _split_terms(x_opt, t, *P)
-    out[:, has_room] = np.logaddexp(main, star), x_opt, main, star
-    return tuple(out)
+    left = fc < fd
+    grid = f_grid < np.where(fd < fc, fd, fc)
+    return (np.where(grid, x_grid, np.where(left, c, d)),
+            np.where(grid, f_grid, np.where(left, fc, fd)))
 
 
 def _query_params(q: BoundQuery) -> tuple[int, float, float, float, float]:
@@ -286,46 +319,98 @@ def subset_rate(alpha: float, N: int, L: int, rate: float) -> float:
     return rate * log_binomial(N - L, ell) / log_binomial(N, L)
 
 
-def min_section_size_rate_for_target(v: float, L: int, rate: float,
-                                     alpha0: float, epsilon: float,
-                                     a_max: float = 50.0,
-                                     tol: float = 1e-6) -> float:
+_A_FLOOR = 1e-6   # lower bracket of the target search, returned when it already passes
+
+
+def _target_table(ells, L: int, v, rate) -> np.ndarray:
+    """Cells of the target search as an (8, rows, len(ells)) array.
+
+    Row r holds mistake counts ells at snr v[r] and rate rate[r]: the six
+    _cells rows with n left at zero, then the clamp offsets of the direct
+    and refined spreads.  Only n depends on the section size rate, so a
+    probe fills in n and reuses the rest.
+    """
+    k = len(ells)
+    cells = _cells(np.tile(ells, v.size), L, 0.0, np.repeat(v, k),
+                   np.repeat(rate, k), 0.0)
+    clamps = 0.5 * _log1p(-cells[[3, 4]])
+    return np.concatenate([cells, clamps]).reshape(8, v.size, k)
+
+
+def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float) -> np.ndarray:
+    """Per row of a target table at codelength n[row]: is every clamped
+    per-count bound at most exp(log_eps)?
+
+    A cell passes when its union bound does, or else when some threshold
+    the split search evaluates does (see _split_search); a row fails as
+    soon as one of its cells fails, and its other cells stop there.
+    """
+    ok = np.ones(n.size, dtype=bool)
+    if log_eps >= 0.0:    # clamped bounds never exceed 1
+        return ok
+    _, room, log_comb, _, s_main, s_star, clamp_direct, clamp_main = table
+    open_ = _union_logs((n[:, None], *table[1:6]), clamp_direct) > log_eps
+    ok &= ~np.any(open_ & (room <= 0.0), axis=1)   # no room: the split bound is 1
+    rows, cols = np.nonzero(open_ & ok[:, None])
+    if rows.size:
+        P = np.stack([n[rows], log_comb[rows, cols], s_main[rows, cols],
+                      clamp_main[rows, cols], s_star[rows, cols], room[rows, cols]])
+        _, log_split = _split_search(P, 0.0, stop=log_eps, groups=rows)
+        ok[rows[log_split > log_eps]] = False
+    return ok
+
+
+def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
+                                     epsilon: float, a_max: float = 50.0,
+                                     tol: float = 1e-6):
     """Smallest section size rate pushing every per-count bound below epsilon.
 
-    Feasibility is monotone in a (larger a means longer codewords), so this
-    is a bracketed bisection, re-deriving n = a L ln L / R at each probe.
-    Raises InfeasibleError when even a_max fails.
+    Elementwise over broadcast v and rate: a float for scalars, an array
+    for arrays.  The bounds cover every mistake count from alpha0 L up.
+    Feasibility is monotone in a (larger a means longer codewords), so each
+    element is a bracketed bisection on [1e-6, a_max] to width tol,
+    re-deriving n = a L ln L / R at each probe.  All elements bisect in
+    lockstep, one _target_feasible decision per step on one table of cells.
+    Raises InfeasibleError for the first element, in input order, that
+    even a_max fails.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if not 0.0 <= alpha0 <= 1.0:
+        raise ValueError(f"alpha0 must be in [0, 1], got {alpha0}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (a_max > _A_FLOOR and math.isfinite(a_max)):
+        raise ValueError(f"a_max must be finite and above {_A_FLOOR}, got {a_max}")
+    vs, rates = np.broadcast_arrays(np.asarray(v, dtype=np.float64),
+                                    np.asarray(rate, dtype=np.float64))
+    shape = vs.shape
+    vs, rates = vs.ravel(), rates.ravel()
+    if not np.all(rates > 0.0):
+        raise ValueError(f"rate must be positive, got {rates[~(rates > 0.0)]}")
     ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
-    log_eps = math.log(epsilon)
+    table = _target_table(ells, L, vs, rates)
+    log_eps, log_L = math.log(epsilon), math.log(L)
 
-    def feasible(a: float) -> bool:
-        cells = _cells(ells, L, a * L * math.log(L) / rate, v, rate, 0.0)
-        u = _union_logs(cells)
-        above = u > log_eps
-        if not above.any():
-            return True
-        s, _, _, _ = _split_cells(cells[:, above], 0.0)
-        # compare clamped log probabilities, so epsilon = 1 always passes
-        return not np.any(np.minimum(np.minimum(u[above], s), 0.0) > log_eps)
+    def feasible(rows, a):
+        return _target_feasible(table[:, rows], a * L * log_L / rates[rows], log_eps)
 
-    a_lo = 1e-6
-    if feasible(a_lo):
-        return a_lo
-    if not feasible(a_max):
+    out = np.full(vs.size, _A_FLOOR)
+    rows = np.flatnonzero(~feasible(np.arange(vs.size), out))
+    lo, hi = np.full(rows.size, _A_FLOOR), np.full(rows.size, float(a_max))
+    top = feasible(rows, hi)
+    if not top.all():
+        i = rows[np.argmin(top)]
         raise InfeasibleError(
             f"no section size rate up to {a_max} meets epsilon={epsilon} "
-            f"at v={v}, L={L}, rate={rate}, alpha0={alpha0}")
-    lo, hi = a_lo, a_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"at v={float(vs[i])}, L={L}, rate={float(rates[i])}, alpha0={alpha0}")
+    while (live := np.flatnonzero(hi - lo > tol)).size:
+        mid = 0.5 * (lo[live] + hi[live])
+        ok = feasible(rows[live], mid)
+        hi[live[ok]] = mid[ok]
+        lo[live[~ok]] = mid[~ok]
+    out[rows] = hi
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def next_power_of_two(x: int) -> int:

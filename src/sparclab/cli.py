@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .bounds import BoundQuery, mistake_tail_bound, next_power_of_two
+from .bounds import BoundQuery, InfeasibleError, mistake_tail_bound, next_power_of_two
 from .codec import generate_dictionary
 from .diagnostics import power_report
 from .geometry import ChannelSpec, CodeSpec, capacity
@@ -313,22 +313,34 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.
+
+    A bad value (a library ValueError) or a file that cannot be read or
+    written is the subcommand's usage error, exit status 2; a bound level
+    nothing meets (InfeasibleError) is a one-line error, exit status 1.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parsers()
     args = parser.parse_args(argv)
-    if args.config:
-        # file values become the subcommand's defaults, so a flag given on the
-        # command line wins in any spelling (--snr 20 or --snr=20)
-        values = load_config(args.config)
-        sub = commands[args.command]
-        flags = set(vars(args)) - {"command", "func", "config"}
-        unknown = sorted(set(values) - flags)
-        if unknown:
-            sub.error(f"config file {args.config} has keys that are not flags of "
-                      f"'{args.command}': {', '.join(unknown)}")
-        sub.set_defaults(**values)
-        args = parser.parse_args(argv)
-    return args.func(args)
+    sub = commands[args.command]
+    try:
+        if args.config:
+            # file values become the subcommand's defaults, so a flag given on
+            # the command line wins in any spelling (--snr 20 or --snr=20)
+            values = load_config(args.config)
+            flags = set(vars(args)) - {"command", "func", "config"}
+            unknown = sorted(set(values) - flags)
+            if unknown:
+                sub.error(f"config file {args.config} has keys that are not flags "
+                          f"of '{args.command}': {', '.join(unknown)}")
+            sub.set_defaults(**values)
+            args = parser.parse_args(argv)
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        sub.error(str(exc))
+    except InfeasibleError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

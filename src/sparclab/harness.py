@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundQuery, achievable_rate, mistake_tail_bound, normal_approximation_rate
+from .bounds import (
+    BoundQuery,
+    achievable_rate,
+    min_section_size_rate_for_target,
+    mistake_tail_bound,
+    normal_approximation_rate,
+)
 from .codec import (
     DEFAULT_ENUMERATION_CAP,
     awgn_channel,
@@ -34,7 +40,6 @@ from .geometry import (
     section_size_rate_finite,
     section_size_rate_limit,
 )
-from .bounds import min_section_size_rate_for_target
 from .rs import Field, RSSpec, compose_decode, compose_encode
 
 LN2 = math.log(2.0)
@@ -286,15 +291,13 @@ def fig3_rows(v_values=(2.0, 5.0, 10.0, 20.0, 50.0, 100.0), L: int = 64,
     """Section size rate curves: finite-L, large-L limit, and target-driven."""
     header = ["v", "L", "a_limit", "a_finite", "alpha0", "epsilon",
               "rate_fraction_target", "a_target"]
-    rows = []
-    for v in sorted(v_values):
-        C = capacity(v)
-        rows.append([v, L,
-                     section_size_rate_limit(v, C),
-                     section_size_rate_finite(v, L, C),
-                     alpha0, epsilon, rate_fraction_target,
-                     min_section_size_rate_for_target(
-                         v, L, rate_fraction_target * C, alpha0, epsilon)])
+    vs = sorted(v_values)
+    caps = np.array([capacity(v) for v in vs], dtype=np.float64)
+    targets = min_section_size_rate_for_target(
+        np.array(vs, dtype=np.float64), L, rate_fraction_target * caps, alpha0, epsilon)
+    rows = [[v, L, section_size_rate_limit(v, C), section_size_rate_finite(v, L, C),
+             alpha0, epsilon, rate_fraction_target, a_target]
+            for v, C, a_target in zip(vs, caps.tolist(), targets.tolist())]
     return header, rows
 
 

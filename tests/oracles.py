@@ -8,7 +8,9 @@ and tilt (the array forms in ``sparclab.exponents`` must match them to the
 last bits of log1p), the per-cell split-bound optimizer
 (the lockstep array optimizer in ``sparclab.bounds`` must match it bit for
 bit), the per-cell scalar union bound (the array table must match it to
-the last bits of log1p), the scalar Acklam quantile (``normal_quantile``
+the last bits of log1p), the one-row bisection for the target section
+size rate, whose probes run the full split optimization (the lockstep
+bisection and its yes/no probes must match it exactly), the scalar Acklam quantile (``normal_quantile``
 must match it bit for bit) and the prefix/suffix-table exhaustive decoder
 (the meet-in-the-middle ``sparclab.codec.decode_exhaustive`` must pick the
 same coefficients).  Production code never imports this module.
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparclab.bounds import InfeasibleError, _cells, _split_cells, _union_logs
 from sparclab.codec import (
     _SUFFIX_BLOCK_TARGET,
     DEFAULT_ENUMERATION_CAP,
@@ -368,6 +371,52 @@ def split_eval(ell: int, L: int, n: float, v: float, rate: float, t: float,
         x_opt = float(xs[j])
     m, s = split_terms(np.array([x_opt]), n, t, log_comb, s_main, s_star, room)
     return float(np.logaddexp(m, s)[0]), float(x_opt), float(m[0]), float(s[0])
+
+
+def target_feasible(v: float, L: int, rate: float, alpha0: float,
+                    epsilon: float, a: float) -> bool:
+    """Is every clamped per-count bound from alpha0 L up at most epsilon at a?
+
+    One row at a time, with the full split optimization of every cell the
+    union bound leaves above epsilon.
+    """
+    ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
+    log_eps = math.log(epsilon)
+    cells = _cells(ells, L, a * L * math.log(L) / rate, v, rate, 0.0)
+    u = _union_logs(cells)
+    above = u > log_eps
+    if not above.any():
+        return True
+    s, _, _, _ = _split_cells(cells[:, above], 0.0)
+    # compare clamped log probabilities, so epsilon = 1 always passes
+    return not np.any(np.minimum(np.minimum(u[above], s), 0.0) > log_eps)
+
+
+def min_section_size_rate_bisect(v: float, L: int, rate: float, alpha0: float,
+                                 epsilon: float, a_max: float = 50.0,
+                                 tol: float = 1e-6) -> float:
+    """Smallest section size rate meeting epsilon: one row's bisection."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+
+    def feasible(a: float) -> bool:
+        return target_feasible(v, L, rate, alpha0, epsilon, a)
+
+    a_lo = 1e-6
+    if feasible(a_lo):
+        return a_lo
+    if not feasible(a_max):
+        raise InfeasibleError(
+            f"no section size rate up to {a_max} meets epsilon={epsilon} "
+            f"at v={v}, L={L}, rate={rate}, alpha0={alpha0}")
+    lo, hi = a_lo, a_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def nearest_codewords(spec: RSSpec):

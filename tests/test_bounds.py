@@ -12,6 +12,8 @@ from sparclab.bounds import (
     InfeasibleError,
     _cells,
     _split_optimize,
+    _target_feasible,
+    _target_table,
     _union_logs,
     achievable_rate,
     channel_dispersion,
@@ -35,7 +37,14 @@ from sparclab.geometry import (
     spread_refined,
 )
 
-from oracles import q_inverse_bisect, split_eval, split_terms, union_log
+from oracles import (
+    min_section_size_rate_bisect,
+    q_inverse_bisect,
+    split_eval,
+    split_terms,
+    target_feasible,
+    union_log,
+)
 
 
 def fig2_query(t: float = 0.0) -> BoundQuery:
@@ -244,6 +253,164 @@ class TestMinSectionSizeRate:
         with pytest.raises(InfeasibleError):
             min_section_size_rate_for_target(2.0, 8, capacity(2.0), 0.125,
                                              1e-300, a_max=2.0)
+
+
+    def test_infeasible_message(self):
+        with pytest.raises(InfeasibleError) as info:
+            min_section_size_rate_for_target(2.0, 8, 0.25, 0.125, 1e-300, a_max=2.0)
+        assert str(info.value) == (
+            "no section size rate up to 2.0 meets epsilon=1e-300 "
+            "at v=2.0, L=8, rate=0.25, alpha0=0.125")
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"), ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"a_max": 1e-6}, "a_max"), ({"a_max": math.nan}, "a_max"),
+        ({"a_max": math.inf}, "a_max"),
+        ({"alpha0": 2.0}, "alpha0"), ({"alpha0": -0.1}, "alpha0"),
+        ({"alpha0": math.nan}, "alpha0"),
+        ({"epsilon": 0.0}, "epsilon"), ({"epsilon": 1.5}, "epsilon"),
+        ({"rate": 0.0}, "rate"), ({"rate": [1.0, -1.0]}, "rate"),
+    ])
+    def test_bad_inputs_rejected(self, kwargs, match):
+        args = {"v": 15.0, "L": 16, "rate": 1.0, "alpha0": 0.25,
+                "epsilon": 1e-3, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            min_section_size_rate_for_target(**args)
+
+
+def target_box(seed: int = 6, groups: int = 14):
+    """Seeded rows for the target-search differential tests, four per
+    (L, alpha0, epsilon, a_max) group.
+
+    L in {2, 3, 5, 8, 16, 24}; alpha0 uniform on (0, 0.6) or an endpoint;
+    epsilon 1 in every fifth group, else log-uniform on [1e-12, 10^-0.5];
+    a_max uniform on (0.3, 4) in even groups, else 50; v log-uniform on
+    [0.01, 1000].  The
+    rates are, as fractions of capacity, one tiny (a floor row), one beyond
+    capacity (no room at ell = L) and two log-uniform on [1e-3, 1].
+    """
+    rng = np.random.default_rng(seed)
+    for g in range(groups):
+        L = int(rng.choice([2, 3, 5, 8, 16, 24]))
+        alpha0 = (float(rng.choice([0.0, 1.0])) if rng.random() < 0.15
+                  else float(rng.uniform(0.0, 0.6)))
+        eps = 1.0 if g % 5 == 0 else float(10.0 ** rng.uniform(-12, -0.5))
+        a_max = 50.0 if g % 2 else float(rng.uniform(0.3, 4.0))
+        v = 10.0 ** rng.uniform(-2.0, 3.0, 4)
+        fraction = [10.0 ** rng.uniform(-12, -7), rng.uniform(1.0, 1.5),
+                    *10.0 ** rng.uniform(-3, 0, 2)]
+        rate = [f * capacity(x) for f, x in zip(fraction, v)]
+        yield L, alpha0, eps, a_max, v.tolist(), rate
+
+
+def outcome(fn, *args):
+    """fn's value, or the message of the InfeasibleError it raises."""
+    try:
+        return fn(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+class TestTargetOracle:
+    """The lockstep search reproduces the one-row bisection exactly."""
+
+    def test_rows_match_oracle_bisection(self):
+        counts = dict.fromkeys(("eps_one", "floor", "no_room", "infeasible",
+                                "bisected"), 0)
+        for L, alpha0, eps, a_max, vs, rates in target_box():
+            wants = [outcome(min_section_size_rate_bisect, v, L, rate, alpha0,
+                             eps, a_max) for v, rate in zip(vs, rates)]
+            for v, rate, want in zip(vs, rates, wants):
+                got = outcome(min_section_size_rate_for_target, v, L, rate,
+                              alpha0, eps, a_max)
+                assert got == want, (v, L, rate, alpha0, eps, a_max)
+                room = _cells(range(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1),
+                              L, 1.0, v, rate, 0.0)[1]
+                if eps == 1.0:
+                    counts["eps_one"] += 1
+                elif isinstance(want, str):
+                    counts["no_room" if np.any(room <= 0.0) else "infeasible"] += 1
+                else:
+                    counts["floor" if want == 1e-6 else "bisected"] += 1
+            got = outcome(min_section_size_rate_for_target, np.array(vs), L,
+                          np.array(rates), alpha0, eps, a_max)
+            errors = [w for w in wants if isinstance(w, str)]
+            if errors:
+                assert got == errors[0]
+            else:
+                assert got.tolist() == wants
+        assert counts["eps_one"] >= 8 and counts["floor"] >= 5
+        assert counts["no_room"] >= 5 and counts["infeasible"] >= 3
+        assert counts["bisected"] >= 12
+
+    def test_probe_decisions_match_oracle(self):
+        rng = np.random.default_rng(17)
+        decisions = {True: 0, False: 0}
+        for L, alpha0, eps, _, vs, rates in target_box(seed=7):
+            ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
+            v, rate = np.array(vs), np.array(rates)
+            table = _target_table(ells, L, v, rate)
+            for a in 10.0 ** rng.uniform(-6.0, 2.0, (3, v.size)):
+                got = _target_feasible(table, a * L * math.log(L) / rate,
+                                       math.log(eps)).tolist()
+                want = [target_feasible(*row, alpha0, eps, x)
+                        for row, x in zip(zip(vs, [L] * v.size, rates), a.tolist())]
+                assert got == want, (L, alpha0, eps, vs, rates, a)
+                for w in want:
+                    decisions[w] += 1
+        assert min(decisions.values()) >= 50
+
+
+class TestTargetElementwise:
+    """One call over arrays is the per-element calls, bit for bit."""
+
+    V = [2.0, 1e3, 15.0, 0.3, 50.0]
+    FRACTION = [0.8, 1e-10, 0.5, 0.6, 0.7]
+
+    def rates(self, fractions=None):
+        return [f * capacity(v) for v, f in zip(self.V, fractions or self.FRACTION)]
+
+    def test_array_equals_scalar_calls(self):
+        args = (16, 0.125, 1e-4)
+        got = min_section_size_rate_for_target(np.array(self.V), args[0],
+                                               np.array(self.rates()), *args[1:])
+        want = [min_section_size_rate_for_target(v, args[0], r, *args[1:])
+                for v, r in zip(self.V, self.rates())]
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        assert got.tolist() == want
+        assert want[1] == 1e-6 and all(w > 1e-6 for i, w in enumerate(want) if i != 1)
+
+    def test_broadcast_shape(self):
+        v = np.array([[2.0], [15.0]])
+        rate = np.array([0.1, 0.2, 0.3])
+        got = min_section_size_rate_for_target(v, 8, rate, 0.25, 1e-3)
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert got[i, j] == min_section_size_rate_for_target(
+                float(v[i, 0]), 8, float(rate[j]), 0.25, 1e-3)
+
+    def test_scalar_call_returns_float(self):
+        a = min_section_size_rate_for_target(15.0, 16, 0.8 * capacity(15.0), 0.125, 1e-3)
+        assert type(a) is float
+        assert type(min_section_size_rate_for_target(
+            np.float64(15.0), 16, 1.0, 0.125, 1.0)) is float
+
+    def test_empty_array(self):
+        got = min_section_size_rate_for_target(np.array([]), 16, 1.0, 0.125, 1e-3)
+        assert got.shape == (0,)
+
+    def test_first_infeasible_element_raises_scalar_message(self):
+        # floor, bisected, bisected, infeasible at a_max, infeasible (no room)
+        rates = self.rates([1e-10, 0.5, 0.5, 0.9, 1.2])
+        kinds = [outcome(min_section_size_rate_for_target, v, 16, r, 0.125, 1e-4)
+                 for v, r in zip(self.V, rates)]
+        assert kinds[0] == 1e-6 and kinds[1] > 1e-6 and kinds[2] > 1e-6
+        assert isinstance(kinds[3], str) and isinstance(kinds[4], str)
+        with pytest.raises(InfeasibleError) as info:
+            min_section_size_rate_for_target(np.array(self.V), 16, np.array(rates),
+                                             0.125, 1e-4)
+        assert str(info.value) == kinds[3]
 
 
 class TestAchievableRate:

@@ -169,12 +169,14 @@ class TestOtherCommands:
         assert exc.value.code == 2
         assert "--rate-points" in capsys.readouterr().err
 
-    def test_rate_points_from_config_checked(self, tmp_path):
+    def test_rate_points_from_config_checked(self, tmp_path, capsys):
         cfg = tmp_path / "fig1.cfg"
         cfg.write_text("rate_points = 0\n")
-        with pytest.raises(ValueError, match="rate point"):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["curves", "--kind", "fig1", "--L-list", "10",
                      "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "rate point" in capsys.readouterr().err
 
     def test_rate_points_used(self, capsys):
         rc = run_cli(["curves", "--kind", "fig1", "--L-list", "10",
@@ -188,3 +190,44 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             run_cli(["simulate", "--snr", "15", "--L", "3",
                      "--rate-fraction", "0.5", "--trials", "1"])
+
+
+class TestErrorSurface:
+    """Library errors end as one-line messages, not tracebacks."""
+
+    @pytest.mark.parametrize("epsilon", ["2", "1e-320"])
+    def test_bad_value_is_a_usage_error(self, epsilon, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["curves", "--kind", "ppv", "--epsilon", epsilon])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sparclab curves")
+        assert "sparclab curves: error: " in err and "Traceback" not in err
+
+    def test_malformed_config_line_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("snr 15\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bounds", "--config", str(cfg), "--L", "3", "--B", "4",
+                     "--rate-fraction", "0.5"])
+        assert exc.value.code == 2
+        assert "not key=value" in capsys.readouterr().err
+
+    def test_unreadable_config_and_unwritable_out_are_usage_errors(self, tmp_path,
+                                                                  capsys):
+        missing = tmp_path / "missing"
+        for extra in (["--config", str(missing / "c.cfg")],
+                      ["--out", str(missing / "ppv.csv")]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["curves", "--kind", "ppv", *extra])
+            assert exc.value.code == 2
+            assert "No such file or directory" in capsys.readouterr().err
+
+    def test_infeasible_target_is_one_line_exit_1(self, capsys):
+        rc = run_cli(["curves", "--kind", "fig3", "--snr-list", "2,0.0001"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "sparclab: error: no section size rate up to 50.0 meets epsilon=")
+        assert "v=0.0001" in captured.err and captured.err.count("\n") == 1

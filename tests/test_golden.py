@@ -27,6 +27,8 @@ COMMANDS = {
              "--L-list", "10,20", "--rate-points", "16"],
     "fig2": ["curves", "--kind", "fig2"],
     "fig3": ["curves", "--kind", "fig3"],
+    "fig3_L16": ["curves", "--kind", "fig3", "--snr-list", "2,15,100", "--L", "16",
+                 "--alpha0", "0.125", "--epsilon", "1e-3"],
     "ppv": ["curves", "--kind", "ppv", "--snr", "20", "--n-list", "100,500,2000"],
     "simulate_w1": SIMULATE + ["--workers", "1"],
     "simulate_w2": SIMULATE + ["--workers", "2"],
