@@ -22,6 +22,7 @@ from .exponents import _capped_exponent_array, _exponent_array, _log1p
 from .geometry import (
     ChannelSpec,
     CodeSpec,
+    _check_snr,
     capacity,
     log_binomial,
     partial_capacity,
@@ -130,6 +131,7 @@ def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
 
 _GRID_POINTS = 256  # grid-stage points per cell of the split optimizer
 _GRID_CHUNK = 16    # cells per grid-stage pass; bounds the (cells, grid) temporaries
+_BRACKET_MARGIN = 1e-9  # relative slack of the bracket lower bound (see _split_search)
 
 
 def _split_optimize(ells, L: int, n, v: float, rate, t: float,
@@ -179,6 +181,17 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
     end there.  ``groups`` (an integer label per cell) comes with ``stop``:
     a cell that finishes above ``stop`` ends its group, whose other cells
     leave where they are, above ``stop``.
+
+    With ``stop``, a cell also finishes above it as soon as its bracket
+    [a, b] proves the full search would.  The main term is nondecreasing
+    in the threshold (its gap room - (x - t) shrinks) and the star term
+    nonincreasing (its gap x - t grows), so every value left to evaluate,
+    all inside the bracket, is at least logaddexp(main(a), star(b)).  Once
+    that lower bound exceeds ``stop`` by _BRACKET_MARGIN, which covers the
+    few ulps by which the rounded terms can break monotonicity, the cell
+    fails.  The terms at the bracket ends and interior points ride along
+    in the state, so the bound costs no evaluations beyond the two bracket
+    ends at the start.
     """
     room = P[5]
     m = room.size
@@ -198,9 +211,6 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
                              xs[k, np.minimum(j + 1, grid_points - 1)],
                              t + r[:, 0] * (1.0 - 1e-12))
 
-    def f(x, params):
-        return np.logaddexp(*_split_terms(x, t, *params))
-
     final = np.full((4, m), np.inf)                  # c, d, fc, fd at exit
     if stop is None:
         live, params, a, b = np.arange(m), P, lo, hi
@@ -208,30 +218,44 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
         live = np.flatnonzero(f_grid > stop)
         params, a, b = P[:, live], lo[live], hi[live]
         dead = np.zeros(groups.max(initial=-1) + 1, dtype=bool)
+        fail_above = stop + _BRACKET_MARGIN * (1.0 + abs(stop))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    S = np.stack([a, b, c, d, f(c, params), f(d, params)])   # a, b, c, d, fc, fd
+    ends = () if stop is None else (a, b)
+    main, star = _split_terms(np.stack([c, d, *ends]), t, *params)
+    # a, b, c, d, fc, fd, and with stop: mc, md, ma, sc, sd, sb, the main (m)
+    # and star (s) terms at the interior points and the bracket ends
+    S = np.stack([a, b, c, d, *np.logaddexp(main[:2], star[:2])])
+    if stop is not None:
+        S = np.concatenate([S, main[:3], star[[0, 1, 3]]])
     for _ in range(60):
         if not live.size:
             break
-        a, b, c, d, fc, fd = S
+        a, b, c, d, fc, fd = S[:6]
         left = fc < fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
         x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fx = f(x, params)
-        S = np.stack([a, b, np.where(left, x, d), np.where(left, c, x),
-                      np.where(left, fx, fd), np.where(left, fc, fx)])
+        mx, sx = _split_terms(x, t, *params)
+        fx = np.logaddexp(mx, sx)
+        rows = [a, b, np.where(left, x, d), np.where(left, c, x),
+                np.where(left, fx, fd), np.where(left, fc, fx)]
         done = b - a <= 1e-14 * params[5]
         if stop is not None:
-            hit = np.minimum(S[4], S[5]) <= stop
+            mc, md, ma, sc, sd, sb = S[6:]
+            ma, sb = np.where(left, ma, mc), np.where(left, sd, sb)
+            rows += [np.where(left, mx, md), np.where(left, mc, mx), ma,
+                     np.where(left, sx, sd), np.where(left, sc, sx), sb]
+            hit = np.minimum(rows[4], rows[5]) <= stop
+            done |= np.logaddexp(ma, sb) > fail_above
             dead[groups[live[done & ~hit]]] = True
             done |= hit | dead[groups[live]]
+        S = np.stack(rows)
         if done.any():
-            final[:, live[done]] = S[2:, done]
+            final[:, live[done]] = S[2:6, done]
             keep = ~done
             S, params, live = S[:, keep], params[:, keep], live[keep]
-    final[:, live] = S[2:]
+    final[:, live] = S[2:6]
 
     c, d, fc, fd = final
     left = fc < fd
@@ -372,8 +396,11 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
     re-deriving n = a L ln L / R at each probe.  All elements bisect in
     lockstep, one _target_feasible decision per step on one table of cells.
     Raises InfeasibleError for the first element, in input order, that
-    even a_max fails.
+    even a_max fails.  L must be an integer of at least 2: at L = 1 the
+    codelength is 0 for every a.
     """
+    if not (isinstance(L, (int, np.integer)) and L >= 2):
+        raise ValueError(f"L must be an integer >= 2, got {L!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 <= alpha0 <= 1.0:
@@ -386,6 +413,7 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
                                     np.asarray(rate, dtype=np.float64))
     shape = vs.shape
     vs, rates = vs.ravel(), rates.ravel()
+    _check_snr(vs)
     if not np.all(rates > 0.0):
         raise ValueError(f"rate must be positive, got {rates[~(rates > 0.0)]}")
     ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)

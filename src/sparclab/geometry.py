@@ -28,13 +28,19 @@ _lgamma = functools.partial(_per_element, math.lgamma)
 
 
 def _check_alpha(alpha) -> None:
-    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    """ValueError naming the elements of alpha outside [0, 1]."""
+    ok = (0.0 <= alpha) & (alpha <= 1.0)
+    if not np.all(ok):
+        bad = np.asarray(alpha)[~ok] if np.ndim(alpha) else alpha
+        raise ValueError(f"alpha must be in [0, 1], got {bad}")
 
 
 def _check_snr(v) -> None:
-    if not np.all(v > 0):
-        raise ValueError(f"snr must be positive, got {v}")
+    """ValueError naming the elements of v that are not positive."""
+    ok = v > 0
+    if not np.all(ok):
+        bad = np.asarray(v)[~ok] if np.ndim(v) else v
+        raise ValueError(f"snr must be positive, got {bad}")
 
 
 @dataclass(frozen=True)

@@ -178,16 +178,21 @@ def run_monte_carlo(config: ExperimentConfig) -> MCReport:
             futures = {i: pool.submit(_run_trial, config, i) for i in indices}
             trials = [futures[i].result() for i in indices]
 
-    q = BoundQuery(channel=config.channel, code=config.code, t=config.t)
+    # one tail bound from the smallest ell0; each ell0's total is the suffix
+    # of its per-count bounds, summed and clamped as mistake_tail_bound does
     tails = []
+    if config.ell0_list:
+        q = BoundQuery(channel=config.channel, code=config.code, t=config.t)
+        tail = mistake_tail_bound(min(config.ell0_list), q)
     for ell0 in config.ell0_list:
         hits = sum(1 for tr in trials if tr.mistakes >= ell0)
         empirical = hits / config.trials
+        suffix = tail.per_ell[ell0 - tail.ell0:]
         tails.append(TailComparison(
             ell0=ell0,
             empirical=empirical,
             ci_upper=_wilson_upper(hits, config.trials),
-            analytic=mistake_tail_bound(ell0, q).total,
+            analytic=min(1.0, sum(b.chosen(tail.policy) for b in suffix)),
         ))
 
     _, dict_ss, _, _ = _trial_streams(config.master_seed, 0)

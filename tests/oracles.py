@@ -392,10 +392,14 @@ def target_feasible(v: float, L: int, rate: float, alpha0: float,
     return not np.any(np.minimum(np.minimum(u[above], s), 0.0) > log_eps)
 
 
-def min_section_size_rate_bisect(v: float, L: int, rate: float, alpha0: float,
-                                 epsilon: float, a_max: float = 50.0,
-                                 tol: float = 1e-6) -> float:
-    """Smallest section size rate meeting epsilon: one row's bisection."""
+def min_section_size_rate_bracket(v: float, L: int, rate: float, alpha0: float,
+                                  epsilon: float, a_max: float = 50.0,
+                                  tol: float = 1e-6) -> tuple[float | None, float]:
+    """One row's bisection for the target section size rate: its final
+    bracket (lo, hi), lo failing and hi meeting epsilon.
+
+    lo is None when the lower end 1e-6 already meets epsilon.
+    """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
@@ -404,7 +408,7 @@ def min_section_size_rate_bisect(v: float, L: int, rate: float, alpha0: float,
 
     a_lo = 1e-6
     if feasible(a_lo):
-        return a_lo
+        return None, a_lo
     if not feasible(a_max):
         raise InfeasibleError(
             f"no section size rate up to {a_max} meets epsilon={epsilon} "
@@ -416,7 +420,7 @@ def min_section_size_rate_bisect(v: float, L: int, rate: float, alpha0: float,
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def nearest_codewords(spec: RSSpec):

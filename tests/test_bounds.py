@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparclab import bounds
 from sparclab.bounds import (
+    _BRACKET_MARGIN,
     BoundQuery,
     InfeasibleError,
     _cells,
     _split_optimize,
+    _split_search,
+    _split_terms,
     _target_feasible,
     _target_table,
     _union_logs,
@@ -26,7 +30,7 @@ from sparclab.bounds import (
     subset_rate,
     union_bound,
 )
-from sparclab.exponents import capped_deviation_exponent
+from sparclab.exponents import _log1p, capped_deviation_exponent
 from sparclab.geometry import (
     ChannelSpec,
     CodeSpec,
@@ -36,9 +40,10 @@ from sparclab.geometry import (
     spread_direct,
     spread_refined,
 )
+from sparclab.harness import fig3_rows
 
 from oracles import (
-    min_section_size_rate_bisect,
+    min_section_size_rate_bracket,
     q_inverse_bisect,
     split_eval,
     split_terms,
@@ -271,12 +276,23 @@ class TestMinSectionSizeRate:
         ({"alpha0": math.nan}, "alpha0"),
         ({"epsilon": 0.0}, "epsilon"), ({"epsilon": 1.5}, "epsilon"),
         ({"rate": 0.0}, "rate"), ({"rate": [1.0, -1.0]}, "rate"),
+        *(({"L": L}, r"^L must be an integer >= 2, got ")
+          for L in (0, 1, -3, 2.0, 16.5, True)),
     ])
     def test_bad_inputs_rejected(self, kwargs, match):
         args = {"v": 15.0, "L": 16, "rate": 1.0, "alpha0": 0.25,
                 "epsilon": 1e-3, **kwargs}
         with pytest.raises(ValueError, match=match):
             min_section_size_rate_for_target(**args)
+
+    def test_smallest_L_runs(self):
+        assert min_section_size_rate_for_target(15.0, np.int64(2), 0.5, 0.0, 1e-3) > 1e-6
+
+    def test_bad_snr_named_once(self):
+        with pytest.raises(ValueError) as info:
+            min_section_size_rate_for_target(np.array([2.0, -1.0, 15.0]), 16, 1.0,
+                                             0.125, 1e-3)
+        assert str(info.value) == "snr must be positive, got [-1.]"
 
 
 def target_box(seed: int = 6, groups: int = 14):
@@ -312,15 +328,25 @@ def outcome(fn, *args):
         return str(exc)
 
 
+@pytest.fixture(scope="class")
+def oracle_brackets():
+    """The one-row oracle bisection of every target_box row: per group, the
+    group's parameters and, per row, the final (lo, hi) bracket or the
+    InfeasibleError message."""
+    return [(L, alpha0, eps, a_max, vs, rates,
+             [outcome(min_section_size_rate_bracket, v, L, rate, alpha0, eps, a_max)
+              for v, rate in zip(vs, rates)])
+            for L, alpha0, eps, a_max, vs, rates in target_box()]
+
+
 class TestTargetOracle:
     """The lockstep search reproduces the one-row bisection exactly."""
 
-    def test_rows_match_oracle_bisection(self):
+    def test_rows_match_oracle_bisection(self, oracle_brackets):
         counts = dict.fromkeys(("eps_one", "floor", "no_room", "infeasible",
                                 "bisected"), 0)
-        for L, alpha0, eps, a_max, vs, rates in target_box():
-            wants = [outcome(min_section_size_rate_bisect, v, L, rate, alpha0,
-                             eps, a_max) for v, rate in zip(vs, rates)]
+        for L, alpha0, eps, a_max, vs, rates, brackets in oracle_brackets:
+            wants = [b if isinstance(b, str) else b[1] for b in brackets]
             for v, rate, want in zip(vs, rates, wants):
                 got = outcome(min_section_size_rate_for_target, v, L, rate,
                               alpha0, eps, a_max)
@@ -344,6 +370,22 @@ class TestTargetOracle:
         assert counts["no_room"] >= 5 and counts["infeasible"] >= 3
         assert counts["bisected"] >= 12
 
+    def test_final_bracket_probes_match_oracle(self, oracle_brackets):
+        # the nearest decisions to each row's boundary: lo fails, hi passes
+        rows = 0
+        for L, alpha0, eps, _, vs, rates, brackets in oracle_brackets:
+            ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
+            for v, rate, bracket in zip(vs, rates, brackets):
+                if isinstance(bracket, str) or bracket[0] is None:
+                    continue
+                a = np.array(bracket)
+                table = _target_table(ells, L, np.array([v, v]), np.array([rate, rate]))
+                got = _target_feasible(table, a * L * math.log(L) / rate, math.log(eps))
+                want = [target_feasible(v, L, rate, alpha0, eps, x) for x in bracket]
+                assert got.tolist() == want == [False, True], (v, L, rate, alpha0, eps)
+                rows += 1
+        assert rows >= 12
+
     def test_probe_decisions_match_oracle(self):
         rng = np.random.default_rng(17)
         decisions = {True: 0, False: 0}
@@ -360,6 +402,81 @@ class TestTargetOracle:
                 for w in want:
                     decisions[w] += 1
         assert min(decisions.values()) >= 50
+
+
+def spread_mix(rng, size):
+    """Spreads in (0, 1): a third below 1e-6, a third above 1 - 1e-6, the
+    rest uniform."""
+    kind = rng.integers(0, 3, size)
+    return np.select([kind == 0, kind == 1],
+                     [10.0 ** rng.uniform(-14, -6, size),
+                      1.0 - 10.0 ** rng.uniform(-12, -6, size)],
+                     rng.uniform(1e-3, 1.0 - 1e-3, size))
+
+
+class TestBracketLowerBound:
+    """The bound a decision-mode split search fails a cell on is a lower
+    bound on every value left in its bracket."""
+
+    def test_bound_below_every_value_in_bracket(self):
+        rng = np.random.default_rng(3781)
+        m = 6000
+        t = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.0, 0.2, m))
+        s_main, s_star = spread_mix(rng, m), spread_mix(rng, m)
+        P = np.stack([10.0 ** rng.uniform(0.0, 5.0, m), rng.uniform(0.0, 60.0, m),
+                      s_main, 0.5 * _log1p(-s_main), s_star,
+                      10.0 ** rng.uniform(-6.0, 1.5, m)])
+        room = P[5]
+        # the capped main exponent clamps (tilt >= 1) once its gap
+        # room - (x - t) reaches s/(1 - s): center half the brackets there
+        knee = t + room - s_main / (1.0 - s_main)
+        center = np.where((rng.random(m) < 0.5) & (knee > t) & (knee < t + room),
+                          knee, t + room * rng.uniform(0.0, 1.0, m))
+        # the open threshold interval the grid stage brackets within
+        ends = t + room * 1e-12, t + room * (1.0 - 1e-12)
+        center = np.clip(center, *ends)
+        half = room * 10.0 ** rng.uniform(-13.0, 0.0, m)
+        a, b = np.maximum(center - half, ends[0]), np.minimum(center + half, ends[1])
+        xs = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 65)
+        vals = np.logaddexp(*_split_terms(xs, t[:, None], *P[:, :, None]))
+        main, star = _split_terms(np.stack([a, b]), t, *P)
+        bound = np.logaddexp(main[0], star[1])
+        slack = _BRACKET_MARGIN * (1.0 + np.abs(vals))
+        assert np.all(bound[:, None] <= vals + slack)
+
+        assert np.sum((a <= knee) & (knee < b)) >= 500
+        for s in (s_main, s_star):
+            assert (s < 1e-6).sum() >= 1000 and (s > 1.0 - 1e-6).sum() >= 1000
+
+    def test_decision_exact_at_the_full_search_minimum(self):
+        # a stop level at the full search's minimum passes, one ulp below it
+        # fails: the bound may not end a cell that would reach stop
+        checked = 0
+        for L, v, t, ells, ns, rates in oracle_box(seed=8, groups=12, per_group=20):
+            cells = _cells(ells, L, ns, v, rates, t)
+            n, room, log_comb, _, s_main, s_star = cells[:, cells[1] > 0.0]
+            P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
+            _, full = _split_search(P, t)
+            for i, value in enumerate(full.tolist()):
+                for stop in (value, np.nextafter(value, -np.inf)):
+                    _, got = _split_search(P[:, i:i + 1], t, stop=stop,
+                                           groups=np.zeros(1, dtype=np.int64))
+                    assert (got[0] <= stop) == (value <= stop), (L, v, t, P[:, i])
+                checked += 1
+        assert checked >= 150
+
+    def test_fig3_split_terms_calls_bounded(self, monkeypatch):
+        calls = 0
+        inner = bounds._split_terms
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(bounds, "_split_terms", counted)
+        fig3_rows()
+        assert 0 < calls <= 600
 
 
 class TestTargetElementwise:

@@ -204,6 +204,14 @@ class TestErrorSurface:
         assert err.startswith("usage: sparclab curves")
         assert "sparclab curves: error: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("L", ["0", "1"])
+    def test_fig3_bad_L_is_a_usage_error(self, L, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["curves", "--kind", "fig3", "--L", L])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"sparclab curves: error: L must be an integer >= 2, got {L}\n")
+
     def test_malformed_config_line_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("snr 15\n")

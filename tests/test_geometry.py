@@ -103,10 +103,13 @@ class TestArrayForms:
         assert log_binomial(self.L, np.array([], dtype=int)).shape == (0,)
 
     def test_one_bad_element_rejects_the_array(self):
-        with pytest.raises(ValueError):
-            partial_capacity(np.array([0.5, 1.5]), 15.0)
-        with pytest.raises(ValueError):
-            spread_direct(np.array([0.5, 0.25]), np.array([15.0, 0.0]))
+        # the message names the bad elements only
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got \[ 1.5 -0.5\]$"):
+            partial_capacity(np.array([0.5, 1.5, 0.25, -0.5]), 15.0)
+        with pytest.raises(ValueError, match=r"^snr must be positive, got \[ 0. nan\]$"):
+            spread_direct(np.array([0.5, 0.25, 0.1]), np.array([15.0, 0.0, np.nan]))
+        with pytest.raises(ValueError, match=r"^snr must be positive, got -1.0$"):
+            spread_refined(0.5, -1.0)
         with pytest.raises(ValueError):
             log_binomial(5, np.array([0, 6]))
 

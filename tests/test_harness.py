@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from sparclab import harness
 from sparclab.bounds import BoundQuery, mistake_tail_bound
 from sparclab.geometry import ChannelSpec, CodeSpec, capacity, combinatorial_surplus
 from sparclab.harness import (
@@ -113,12 +114,30 @@ class TestRunMonteCarlo:
         long = run_monte_carlo(mini_config(trials=20))
         assert short.trials == long.trials[:10]
 
-    def test_analytic_column_matches_direct_invocation(self):
-        cfg = mini_config()
-        rep = run_monte_carlo(cfg)
-        q = BoundQuery(channel=cfg.channel, code=cfg.code, t=cfg.t)
-        for tc in rep.tails:
-            assert tc.analytic == mistake_tail_bound(tc.ell0, q).total
+    def test_analytic_column_matches_direct_invocation(self, monkeypatch):
+        # one tail bound per run, from the smallest ell0, in any list order
+        calls = []
+
+        def counted(ell0, q):
+            calls.append(ell0)
+            return mistake_tail_bound(ell0, q)
+
+        monkeypatch.setattr(harness, "mistake_tail_bound", counted)
+        for kw in (dict(), dict(trials=2, ell0_list=(3, 1, 2, 1)),
+                   dict(trials=2, L=5, B=4, t=0.05, rate=0.9 * C15, ell0_list=(5, 2, 4)),
+                   dict(trials=2, L=6, B=4, snr=2.0, rate=0.3 * capacity(2.0),
+                        ell0_list=(6, 3))):
+            cfg = mini_config(**kw)
+            calls.clear()
+            rep = run_monte_carlo(cfg)
+            assert calls == [min(cfg.ell0_list)]
+            assert [tc.ell0 for tc in rep.tails] == list(cfg.ell0_list)
+            q = BoundQuery(channel=cfg.channel, code=cfg.code, t=cfg.t)
+            for tc in rep.tails:
+                assert tc.analytic == mistake_tail_bound(tc.ell0, q).total
+
+    def test_empty_ell0_list_has_no_tails(self):
+        assert run_monte_carlo(mini_config(trials=2, ell0_list=())).tails == ()
 
     def test_one_sided_validity_small_run(self):
         cfg = mini_config(trials=200)
