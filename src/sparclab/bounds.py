@@ -43,7 +43,10 @@ class InfeasibleError(RuntimeError):
 class BoundQuery:
     """Channel, code, and threshold context for the per-fraction bounds.
 
-    The threshold t is the decoder tolerance in nats (delta0 / (2 sigma^2)).
+    The threshold t (nats) is the bound's slack: it covers every decoder
+    whose residual is within delta0 = 2 sigma^2 t of the true codeword's.
+    The exact least-squares decoder never does worse than the truth, so
+    it is covered at every t >= 0.
     """
 
     channel: ChannelSpec

@@ -59,12 +59,12 @@ def _coerce(value: str):
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _int_list(text) -> tuple[int, ...]:
+    return tuple(int(x) for x in str(text).split(",") if x.strip())
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _float_list(text) -> tuple[float, ...]:
+    return tuple(float(x) for x in str(text).split(",") if x.strip())
 
 
 def _positive_int(text: str) -> int:
@@ -74,25 +74,55 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--snr", type=float, help="signal-to-noise ratio v")
-    p.add_argument("--L", type=int, help="number of sections")
-    p.add_argument("--B", type=int, help="section size (power of two for encoding)")
-    p.add_argument("--a", type=float,
-                   help="section size rate; sets B = next power of two >= L^a")
-    p.add_argument("--rate", type=float, help="inner code rate (see --units)")
-    p.add_argument("--rate-fraction", type=float,
-                   help="inner code rate as a fraction of capacity")
-    p.add_argument("--alpha0", type=float, help="target mistake fraction")
-    p.add_argument("--epsilon", type=float, help="target probability")
-    p.add_argument("--t", type=float, default=0.0, help="decoder threshold (nats)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--trials", type=int, default=100, help="Monte Carlo trials")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--units", choices=("bits", "nats"), default="bits",
-                   help="unit convention for rates at the boundary")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+# Every subcommand flag by dest; the option string is --dest with - for _.
+_FLAGS = {
+    "config": dict(help="key=value config file; flags override"),
+    "kind": dict(required=True, choices=("fig1", "fig2", "fig3", "ppv")),
+    "snr": dict(type=float, help="signal-to-noise ratio v"),
+    "snr_list": dict(help="comma-separated snr values (fig3)"),
+    "L": dict(type=int, help="number of sections"),
+    "L_list": dict(help="comma-separated section counts (fig1)"),
+    "B": dict(type=int, help="section size (power of two for encoding)"),
+    "a": dict(type=float, help="section size rate; sets B = next power of two >= L^a"),
+    "rate": dict(type=float, help="inner code rate (see --units)"),
+    "rate_fraction": dict(type=float, help="inner code rate as a fraction of capacity"),
+    "rate_points": dict(type=_positive_int, help="rate grid size (fig1)"),
+    "alpha0": dict(type=float, help="target mistake fraction"),
+    "epsilon": dict(type=float, help="target probability"),
+    "t": dict(type=float, help="bound threshold (nats)"),
+    "n_list": dict(help="comma-separated codelengths (ppv)"),
+    "signed": dict(action="store_true", help="signed code"),
+    "noiseless": dict(action="store_true", help="transmit without channel noise"),
+    "rs_distance": dict(type=int, help="outer-code minimum distance"),
+    "errors": dict(type=int, help="section errors to inject"),
+    "seed": dict(type=int, default=0, help="master seed"),
+    "trials": dict(type=int, default=100, help="Monte Carlo trials"),
+    "ell0_list": dict(help="comma-separated tail thresholds"),
+    "workers": dict(type=int, default=1, help="parallel workers"),
+    "units": dict(choices=("bits", "nats"), default="bits",
+                  help="unit convention for rates at the boundary"),
+    "out": dict(help="output path (default stdout)"),
+    "report": dict(help="write the aggregate JSON report here"),
+}
+
+# Per curve kind: each flag it reads and the row-maker parameter it sets.
+_CURVE_PARAMS = {
+    "fig1": {"snr": "v", "epsilon": "epsilon", "L_list": "L_values",
+             "rate_points": "rate_points"},
+    "fig2": {"snr": "v", "L": "L", "B": "B", "rate_fraction": "rate_fraction",
+             "t": "t"},
+    "fig3": {"snr_list": "v_values", "L": "L",
+             "rate_fraction": "rate_fraction_target", "alpha0": "alpha0",
+             "epsilon": "epsilon"},
+    "ppv": {"snr": "v", "epsilon": "epsilon", "n_list": "n_values"},
+}
+_CURVE_LISTS = {"L_list": _int_list, "snr_list": _float_list, "n_list": _float_list}
+_CURVE_FLAGS = tuple(dict.fromkeys(dest for reads in _CURVE_PARAMS.values()
+                                   for dest in reads))
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _resolve_B(args) -> int:
@@ -127,11 +157,12 @@ def _cmd_bounds(args) -> int:
         raise SystemExit("bounds needs --L")
     code = CodeSpec(L=args.L, B=_resolve_B(args), rate=_resolve_rate(args, v))
     channel = ChannelSpec.from_snr(v)
-    header, rows = bounds_table(channel, code, t=args.t)
+    t = args.t if args.t is not None else 0.0
+    header, rows = bounds_table(channel, code, t=t)
     _emit(rows_to_csv(header, rows), args.out)
     alpha0 = args.alpha0 if args.alpha0 is not None else 1.0 / code.L
     ell0 = max(1, math.ceil(alpha0 * code.L - 1e-9))
-    tail = mistake_tail_bound(ell0, BoundQuery(channel=channel, code=code, t=args.t))
+    tail = mistake_tail_bound(ell0, BoundQuery(channel=channel, code=code, t=t))
     print(f"mistake tail from ell0={ell0}: {tail.total:.6e} (policy={tail.policy})",
           file=sys.stderr)
     print(UNITS_NOTE % args.units, file=sys.stderr)
@@ -139,43 +170,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    kind = args.kind
-    params: dict = {}
-    if kind == "fig1":
-        params["v"] = args.snr if args.snr is not None else 20.0
-        params["epsilon"] = args.epsilon if args.epsilon is not None else 1e-4
-        if args.L_list:
-            params["L_values"] = _int_list(args.L_list)
-        if args.rate_points is not None:
-            params["rate_points"] = args.rate_points
-    elif kind == "fig2":
-        if args.snr is not None:
-            params["v"] = args.snr
-        if args.L is not None:
-            params["L"] = args.L
-        if args.B is not None:
-            params["B"] = args.B
-        if args.rate_fraction is not None:
-            params["rate_fraction"] = args.rate_fraction
-        params["t"] = args.t
-    elif kind == "fig3":
-        if args.snr_list:
-            params["v_values"] = _float_list(args.snr_list)
-        if args.L is not None:
-            params["L"] = args.L
-        if args.rate_fraction is not None:
-            params["rate_fraction_target"] = args.rate_fraction
-        if args.alpha0 is not None:
-            params["alpha0"] = args.alpha0
-        if args.epsilon is not None:
-            params["epsilon"] = args.epsilon
-    elif kind == "ppv":
-        params["v"] = args.snr if args.snr is not None else 20.0
-        if args.epsilon is not None:
-            params["epsilon"] = args.epsilon
-        if args.n_list:
-            params["n_values"] = _float_list(args.n_list)
-    _emit(emit_curves(kind, **params), args.out)
+    """Pass each given flag to the kind's row maker; the defaults live there."""
+    reads = _CURVE_PARAMS[args.kind]
+    given = {dest: value for dest in _CURVE_FLAGS
+             if (value := getattr(args, dest)) is not None}
+    unread = sorted(set(given) - set(reads))
+    if unread:
+        raise ValueError(f"--kind {args.kind} does not read "
+                         + ", ".join(_option(dest) for dest in unread))
+    params = {reads[dest]: _CURVE_LISTS[dest](value) if dest in _CURVE_LISTS else value
+              for dest, value in given.items()}
+    _emit(emit_curves(args.kind, **params), args.out)
     return 0
 
 
@@ -190,10 +195,10 @@ def _cmd_simulate(args) -> int:
         rate=_resolve_rate(args, v),
         signed=args.signed,
         rs_distance=args.rs_distance,
-        t=args.t,
+        t=args.t if args.t is not None else 0.0,
         master_seed=args.seed,
         trials=args.trials,
-        ell0_list=_int_list(str(args.ell0_list)) if args.ell0_list else (1,),
+        ell0_list=_int_list(args.ell0_list) if args.ell0_list else (1,),
         workers=args.workers,
         noiseless=args.noiseless,
     )
@@ -262,53 +267,43 @@ def _cmd_compose_demo(args) -> int:
     return 0 if recovered else 1
 
 
+# Per subcommand: help, handler and every flag the handler reads.
+_CODE = ("snr", "L", "B", "a", "rate", "rate_fraction")
+_COMMANDS = {
+    "bounds": ("per-mistake-count bound table plus tail", _cmd_bounds,
+               ("config", *_CODE, "alpha0", "t", "units", "out")),
+    "curves": ("curve CSVs (fig1, fig2, fig3, ppv)", _cmd_curves,
+               ("config", "kind", *_CURVE_FLAGS, "out")),
+    "simulate": ("seeded Monte Carlo trials", _cmd_simulate,
+                 ("config", *_CODE, "signed", "noiseless", "rs_distance", "t",
+                  "seed", "trials", "ell0_list", "workers", "units", "out", "report")),
+    "power-check": ("dictionary power diagnostics", _cmd_power_check,
+                    ("config", *_CODE, "signed", "epsilon", "seed", "units", "out")),
+    "compose-demo": ("outer-code round trip with injected section errors",
+                     _cmd_compose_demo,
+                     ("config", "L", "B", "a", "rs_distance", "errors", "seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name.
+
+    Each subcommand takes exactly the flags its handler reads, spelled out
+    in full: an abbreviation could otherwise reach a different flag.
+    """
     parser = argparse.ArgumentParser(
         prog="sparclab",
         description="Sparse superposition codes: bounds, curves, simulation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="per-mistake-count bound table plus tail")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("curves", help="curve CSVs (fig1, fig2, fig3, ppv)")
-    _add_common(p)
-    p.add_argument("--kind", required=True, choices=("fig1", "fig2", "fig3", "ppv"))
-    p.add_argument("--L-list", help="comma-separated section counts (fig1)")
-    p.add_argument("--snr-list", help="comma-separated snr values (fig3)")
-    p.add_argument("--n-list", help="comma-separated codelengths (ppv)")
-    p.add_argument("--rate-points", type=_positive_int, help="rate grid size (fig1)")
-    p.set_defaults(func=_cmd_curves)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo trials")
-    _add_common(p)
-    p.add_argument("--signed", action="store_true", help="signed code")
-    p.add_argument("--noiseless", action="store_true",
-                   help="transmit without channel noise")
-    p.add_argument("--rs-distance", type=int,
-                   help="compose with an outer code of this minimum distance")
-    p.add_argument("--ell0-list", help="comma-separated tail thresholds")
-    p.add_argument("--report", help="write the aggregate JSON report here")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("power-check", help="dictionary power diagnostics")
-    _add_common(p)
-    p.add_argument("--signed", action="store_true", help="signed code")
-    p.set_defaults(func=_cmd_power_check)
-
-    p = sub.add_parser("compose-demo",
-                       help="outer-code round trip with injected section errors")
-    _add_common(p)
-    p.add_argument("--rs-distance", type=int, help="outer minimum distance")
-    p.add_argument("--errors", type=int, help="section errors to inject")
-    p.set_defaults(func=_cmd_compose_demo)
-
+    for name, (help_text, func, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for dest in dests:
+            p.add_argument(_option(dest), **_FLAGS[dest])
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 

@@ -48,7 +48,6 @@ class Dictionary:
     L: int
     B: int
     entry_variance: float
-    seed: object = None
 
     def __post_init__(self):
         if self.entries.shape[1] != self.L * self.B:
@@ -66,9 +65,6 @@ class Dictionary:
     def section(self, i: int) -> np.ndarray:
         """The (n, B) column block of section i."""
         return self.entries[:, i * self.B:(i + 1) * self.B]
-
-    def column(self, i: int, j: int) -> np.ndarray:
-        return self.entries[:, i * self.B + j]
 
 
 @dataclass(frozen=True)
@@ -95,21 +91,11 @@ class SparseCoefficients:
     def L(self) -> int:
         return len(self.indices)
 
-    def vector(self, B: int) -> np.ndarray:
-        """The dense coefficient vector of length L*B."""
-        beta = np.zeros(self.L * B)
-        for i, (j, s) in enumerate(zip(self.indices, self.signs)):
-            beta[i * B + j] = s
-        return beta
-
 
 @dataclass(frozen=True)
 class DecodeResult:
     coefficients: SparseCoefficients
     residual_sq: float        # normalized |y - X beta|^2
-    delta0_used: float
-    mistakes: int | None = None
-    early_exit: bool = False
 
 
 def generate_dictionary(code: CodeSpec, channel: ChannelSpec, seed) -> Dictionary:
@@ -119,8 +105,7 @@ def generate_dictionary(code: CodeSpec, channel: ChannelSpec, seed) -> Dictionar
         raise ValueError("dictionary shape must be nonempty")
     var = channel.P / code.L
     entries = math.sqrt(var) * _seeded_normals((n, code.L * code.B), seed)
-    return Dictionary(entries=entries, L=code.L, B=code.B,
-                      entry_variance=var, seed=seed)
+    return Dictionary(entries=entries, L=code.L, B=code.B, entry_variance=var)
 
 
 def _as_bit_tuple(bits) -> tuple[int, ...]:
@@ -237,9 +222,6 @@ def _direct_rss(atoms: np.ndarray, y: np.ndarray, points) -> np.ndarray:
 
 
 def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
-                      delta0: float = 0.0,
-                      truth: SparseCoefficients | None = None,
-                      early_exit: bool = False,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> DecodeResult:
     """Global least-squares search over every admissible coefficient vector.
 
@@ -250,18 +232,10 @@ def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
     differently from a direct residual, so every candidate within a
     rounding slack of the smallest score is re-scored directly, and the
     result is the exact minimum of the direct residuals; exact ties resolve
-    to the lowest lexicographic code-point sequence.  With early_exit and a
-    supplied truth, the search stops after the first block whose confirmed
-    best residual is within delta0 of the truth's (modeling an approximate
-    solver); otherwise it returns the exact argmin, which achieves the
-    delta0 = 0 guarantee.
+    to the lowest lexicographic code-point sequence.
     """
-    if delta0 < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {delta0}")
     if code.L != dic.L or code.B != dic.B:
         raise ValueError("code and dictionary disagree on the layout")
-    if early_exit and truth is None:
-        raise ValueError("early_exit requires the true coefficients")
     total = code.candidate_count()
     if total > cap:
         raise EnumerationCapError(
@@ -275,13 +249,6 @@ def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
     cols = dic.entries.T.reshape(L, code.B, n)
     atoms = np.concatenate([cols, -cols], axis=1) if code.signed else cols
     base = atoms.shape[1]
-
-    stop_rss = None
-    if truth is not None:
-        if truth.L != L or max(truth.indices) >= code.B:
-            raise ValueError("coefficients do not match the dictionary layout")
-        sent = [[j + code.B if s < 0 else j] for j, s in zip(truth.indices, truth.signs)]
-        stop_rss = float(_direct_rss(atoms, y, sent)[0]) + delta0 * n
 
     # Candidate rank = head_rank * len(tail) + tail_rank.  The score is the
     # inner product of the rows [-2 (y - a), |y - a|^2, 1] and [b, 1, |b|^2].
@@ -302,7 +269,6 @@ def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
     scores = np.empty((min(rows, len(head)), len(tail)))
     approx_min = best_rss = math.inf
     best_rank = -1
-    stopped = False
     for start in range(0, len(head), rows):
         block = scores[:min(rows, len(head) - start)]
         np.matmul(head_aug[start:start + rows], tail_aug.T, out=block)
@@ -314,18 +280,9 @@ def decode_exhaustive(dic: Dictionary, y: np.ndarray, code: CodeSpec,
             k = int(np.argmin(rss))
             if rss[k] < best_rss:
                 best_rss, best_rank = float(rss[k]), int(ranks[k])
-        if early_exit and best_rss <= stop_rss:
-            stopped = True
-            break
 
-    coeffs = _rank_to_coefficients(best_rank, L, code.B, code.signed)
-    return DecodeResult(
-        coefficients=coeffs,
-        residual_sq=best_rss / n,
-        delta0_used=delta0,
-        mistakes=None if truth is None else count_mistakes(coeffs, truth),
-        early_exit=stopped,
-    )
+    return DecodeResult(_rank_to_coefficients(best_rank, L, code.B, code.signed),
+                        best_rss / n)
 
 
 def decoding_statistic(dic: Dictionary, y: np.ndarray, S: SparseCoefficients,

@@ -32,10 +32,7 @@ from sparclab.codec import (
     DecodeResult,
     Dictionary,
     EnumerationCapError,
-    SparseCoefficients,
     _rank_to_coefficients,
-    count_mistakes,
-    synthesize,
 )
 from sparclab.geometry import (
     CodeSpec,
@@ -450,24 +447,14 @@ def _symbol_block(dic: Dictionary, section: int, signed: bool) -> np.ndarray:
 
 
 def suffix_table_decode(dic: Dictionary, y: np.ndarray, code: CodeSpec,
-                        delta0: float = 0.0,
-                        truth: SparseCoefficients | None = None,
-                        early_exit: bool = False,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> DecodeResult:
     """Global least-squares search over every admissible coefficient vector.
 
     Scans candidates in lexicographic code-point order, so exact ties
-    resolve to the lowest index sequence.  With early_exit and a supplied
-    truth, returns the first candidate whose residual is within delta0 of
-    the truth's residual (modeling an approximate solver); otherwise the
-    exact argmin, which achieves the delta0 = 0 guarantee.
+    resolve to the lowest index sequence.
     """
-    if delta0 < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {delta0}")
     if code.L != dic.L or code.B != dic.B:
         raise ValueError("code and dictionary disagree on the layout")
-    if early_exit and truth is None:
-        raise ValueError("early_exit requires the true coefficients")
     total = code.candidate_count()
     if total > cap:
         raise EnumerationCapError(
@@ -489,14 +476,8 @@ def suffix_table_decode(dic: Dictionary, y: np.ndarray, code: CodeSpec,
 
     prefix_sections = L - j
     prefix_count = base ** prefix_sections
-    stop_rss = None
-    if truth is not None:
-        truth_rss = float(np.sum((y - synthesize(dic, truth)) ** 2))
-        stop_rss = truth_rss + delta0 * n
-
     best_rss = math.inf
     best_rank = -1
-    stopped = False
     for p in range(prefix_count):
         shift = np.zeros(n)
         rank = p
@@ -506,7 +487,7 @@ def suffix_table_decode(dic: Dictionary, y: np.ndarray, code: CodeSpec,
             rank //= base
         digits.reverse()
         for sec, point in enumerate(digits):
-            col = dic.column(sec, point % code.B)
+            col = dic.section(sec)[:, point % code.B]
             shift = shift + (-col if point >= code.B else col)
         z = (y - shift)[None, :] - suffix
         rss = np.einsum("ij,ij->i", z, z)
@@ -514,15 +495,6 @@ def suffix_table_decode(dic: Dictionary, y: np.ndarray, code: CodeSpec,
         if rss[local] < best_rss:
             best_rss = float(rss[local])
             best_rank = p * suffix.shape[0] + local
-        if early_exit and stop_rss is not None and best_rss <= stop_rss:
-            stopped = True
-            break
 
-    coeffs = _rank_to_coefficients(best_rank, L, code.B, code.signed)
-    return DecodeResult(
-        coefficients=coeffs,
-        residual_sq=best_rss / n,
-        delta0_used=delta0,
-        mistakes=None if truth is None else count_mistakes(coeffs, truth),
-        early_exit=stopped,
-    )
+    return DecodeResult(_rank_to_coefficients(best_rank, L, code.B, code.signed),
+                        best_rss / n)

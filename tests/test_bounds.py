@@ -305,6 +305,12 @@ def target_box(seed: int = 6, groups: int = 14):
     [0.01, 1000].  The
     rates are, as fractions of capacity, one tiny (a floor row), one beyond
     capacity (no room at ell = L) and two log-uniform on [1e-3, 1].
+
+    Then four groups near fig3's: L in {32, 64}, alpha0 uniform on
+    (0, 0.3), epsilon log-uniform on [1e-5, 0.1], a_max 50, v log-uniform
+    on [20, 316] and rates uniform on [0.72, 0.88] of capacity.  There the
+    split bound sets the boundary, and a cell near it passes only during
+    golden-section refinement, not at the grid stage.
     """
     rng = np.random.default_rng(seed)
     for g in range(groups):
@@ -318,6 +324,29 @@ def target_box(seed: int = 6, groups: int = 14):
                     *10.0 ** rng.uniform(-3, 0, 2)]
         rate = [f * capacity(x) for f, x in zip(fraction, v)]
         yield L, alpha0, eps, a_max, v.tolist(), rate
+    for _ in range(4):
+        L = int(rng.choice([32, 64]))
+        alpha0 = float(rng.uniform(0.0, 0.3))
+        eps = float(10.0 ** rng.uniform(-5, -1))
+        v = 10.0 ** rng.uniform(1.3, 2.5, 4)
+        rate = [f * capacity(x) for f, x in zip(rng.uniform(0.72, 0.88, 4), v)]
+        yield L, alpha0, eps, 50.0, v.tolist(), rate
+
+
+def grid_feasible(v: float, L: int, rate: float, alpha0: float, epsilon: float,
+                  a: float) -> bool:
+    """target_feasible with every split search cut to its 256-point grid."""
+    ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
+    cells = _cells(ells, L, a * L * math.log(L) / rate, v, rate, 0.0)
+    above = _union_logs(cells) > math.log(epsilon)
+    ks = np.arange(1, 257) / 257
+    for n, room, log_comb, _, s_main, s_star in cells[:, above].T:
+        if room <= 0.0:
+            return False
+        main, star = split_terms(room * ks, n, 0.0, log_comb, s_main, s_star, room)
+        if np.logaddexp(main, star).min() > math.log(epsilon):
+            return False
+    return True
 
 
 def outcome(fn, *args):
@@ -372,7 +401,7 @@ class TestTargetOracle:
 
     def test_final_bracket_probes_match_oracle(self, oracle_brackets):
         # the nearest decisions to each row's boundary: lo fails, hi passes
-        rows = 0
+        rows = refined = 0
         for L, alpha0, eps, _, vs, rates, brackets in oracle_brackets:
             ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
             for v, rate, bracket in zip(vs, rates, brackets):
@@ -384,7 +413,9 @@ class TestTargetOracle:
                 want = [target_feasible(v, L, rate, alpha0, eps, x) for x in bracket]
                 assert got.tolist() == want == [False, True], (v, L, rate, alpha0, eps)
                 rows += 1
-        assert rows >= 12
+                # hi passes only because some split search refines below eps
+                refined += not grid_feasible(v, L, rate, alpha0, eps, bracket[1])
+        assert rows >= 12 and refined >= 8
 
     def test_probe_decisions_match_oracle(self):
         rng = np.random.default_rng(17)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sparclab.cli import load_config, main
+from sparclab.cli import _build_parsers, load_config, main
 from sparclab.geometry import capacity
 
 
@@ -204,13 +204,16 @@ class TestErrorSurface:
         assert err.startswith("usage: sparclab curves")
         assert "sparclab curves: error: " in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("L", ["0", "1"])
-    def test_fig3_bad_L_is_a_usage_error(self, L, capsys):
+    @pytest.mark.parametrize("L,extra", [
+        ("0", []), ("1", []), ("2", []),
+        ("2", ["--epsilon", "0.9", "--rate-fraction", "0.1"])])
+    def test_fig3_bad_L_is_a_usage_error(self, L, extra, capsys):
+        # rejected before any bisection, so the target level does not matter
         with pytest.raises(SystemExit) as exc:
-            run_cli(["curves", "--kind", "fig3", "--L", L])
+            run_cli(["curves", "--kind", "fig3", "--L", L, *extra])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.endswith(f"sparclab curves: error: L must be an integer >= 2, got {L}\n")
+        assert err.endswith(f"sparclab curves: error: need L >= 3, got {L}\n")
 
     def test_malformed_config_line_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -239,3 +242,88 @@ class TestErrorSurface:
         assert captured.err.startswith(
             "sparclab: error: no section size rate up to 50.0 meets epsilon=")
         assert "v=0.0001" in captured.err and captured.err.count("\n") == 1
+
+
+CODE_FLAGS = {"snr", "L", "B", "a", "rate", "rate_fraction"}
+
+
+class TestFlagSets:
+    """Each subcommand takes exactly the flags its handler reads."""
+
+    EXPECTED = {
+        "bounds": {"config", *CODE_FLAGS, "alpha0", "t", "units", "out"},
+        "curves": {"config", "kind", "snr", "snr_list", "L", "L_list", "B",
+                   "rate_fraction", "rate_points", "alpha0", "epsilon", "t",
+                   "n_list", "out"},
+        "simulate": {"config", *CODE_FLAGS, "signed", "noiseless", "rs_distance",
+                     "t", "seed", "trials", "ell0_list", "workers", "units", "out",
+                     "report"},
+        "power-check": {"config", *CODE_FLAGS, "signed", "epsilon", "seed",
+                        "units", "out"},
+        "compose-demo": {"config", "L", "B", "a", "rs_distance", "errors", "seed"},
+    }
+
+    def test_flag_sets_pinned(self):
+        commands = _build_parsers()[1]
+        assert set(commands) == set(self.EXPECTED)
+        for name, sub in commands.items():
+            dests = {a.dest for a in sub._actions} - {"help"}
+            assert dests == self.EXPECTED[name], name
+        assert sum(len(d) for d in self.EXPECTED.values()) == 62
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--L", "3", "--B", "4", "--rate-fraction", "0.5", "--trials", "5"],
+        ["curves", "--kind", "ppv", "--seed", "3"],
+        # not an abbreviation of --alpha0
+        ["curves", "--kind", "fig3", "--a", "2"],
+        ["simulate", "--L", "2", "--B", "4", "--rate-fraction", "0.5",
+         "--epsilon", "0.1"],
+        ["power-check", "--L", "2", "--B", "4", "--rate-fraction", "0.5",
+         "--trials", "5"],
+        ["compose-demo", "--L", "15", "--B", "16", "--out", "x"],
+    ])
+    def test_dropped_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["bounds"], "epsilon"), (["curves", "--kind", "ppv"], "seed"),
+        (["simulate"], "alpha0"), (["power-check"], "trials"),
+        (["compose-demo"], "out")])
+    def test_dropped_config_key_is_a_usage_error(self, argv, key, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"are not flags of '{argv[0]}': {key}\n" in capsys.readouterr().err
+
+    # one flag each kind does not read
+    UNREAD = [("fig1", "B", "64"), ("fig2", "epsilon", "0.1"),
+              ("fig3", "snr", "20"), ("ppv", "L", "8")]
+
+    @pytest.mark.parametrize("kind,dest,value", UNREAD)
+    def test_curve_kind_rejects_unread_flag(self, kind, dest, value, capsys):
+        flag = "--" + dest.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["curves", "--kind", kind, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"sparclab curves: error: --kind {kind} does not read {flag}\n")
+
+    @pytest.mark.parametrize("kind,dest,value", UNREAD)
+    def test_curve_kind_rejects_unread_config_key(self, kind, dest, value,
+                                                  tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{dest} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["curves", "--kind", kind, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"--kind {kind} does not read --{dest.replace('_', '-')}" in \
+            capsys.readouterr().err

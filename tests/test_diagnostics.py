@@ -147,7 +147,7 @@ class TestCodewordPowerStats:
         d = generate_dictionary(code, CH15, 2)
         mean, var = codeword_power_stats(d, SparseCoefficients.unsigned([3]))
         assert var == 0.0
-        assert mean == pytest.approx(normalized_power(d.column(0, 3)), rel=1e-12)
+        assert mean == pytest.approx(normalized_power(d.section(0)[:, 3]), rel=1e-12)
 
     def test_exhaustive_sign_average_identity(self):
         # mean over all 2^L sign patterns equals the conditional mean exactly
