@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import _capped_exponent_array, _exponent_array, _log1p
+from .exponents import (
+    _capped_exponent_array,
+    _exponent_array,
+    _log1p,
+    _prepare_spread,
+)
 from .geometry import (
     ChannelSpec,
     CodeSpec,
@@ -98,6 +103,33 @@ class TailBound:
     policy: str = "split"
 
 
+def _count_rows(ells, L: int, v) -> np.ndarray:
+    """Per-count inputs of both bounds, which depend on ell and v only.
+
+    A (6, ...) array of alpha = ell/L, the partial capacity C_alpha,
+    ln(L choose ell), and the direct, refined and star spreads, the last
+    being the direct spread at alpha^2.  The raveled ells broadcast against
+    v, so a v of shape (rows, 1) gives one row of counts per snr.
+    """
+    ells = np.asarray(ells, dtype=np.int64).ravel()
+    alpha = ells / L
+    return np.stack(np.broadcast_arrays(
+        alpha, partial_capacity(alpha, v), log_binomial(L, ells),
+        spread_direct(alpha, v), spread_refined(alpha, v),
+        spread_direct(alpha * alpha, v)))
+
+
+def _rate_cells(counts, n, rate, t: float) -> np.ndarray:
+    """The _cells rows of _count_rows counts at codelength n and rate.
+
+    n and rate broadcast against the counts, so per-count inputs built once
+    serve every rate.
+    """
+    alpha, c_alpha, log_comb, s_direct, s_refined, s_star = counts
+    return np.stack(np.broadcast_arrays(
+        n, c_alpha - alpha * rate - t, log_comb, s_direct, s_refined, s_star))
+
+
 def _cells(ells, L: int, n, v, rate, t: float) -> np.ndarray:
     """Per-cell inputs of both bounds, one row each, as a (6, cells) array.
 
@@ -107,12 +139,7 @@ def _cells(ells, L: int, n, v, rate, t: float) -> np.ndarray:
     direct, refined and star spreads, the last being the direct spread at
     alpha^2.
     """
-    ells = np.asarray(ells, dtype=np.int64).ravel()
-    alpha = ells / L
-    return np.stack(np.broadcast_arrays(
-        n, partial_capacity(alpha, v) - alpha * rate - t,
-        log_binomial(L, ells), spread_direct(alpha, v),
-        spread_refined(alpha, v), spread_direct(alpha * alpha, v)))
+    return _rate_cells(_count_rows(ells, L, v), n, rate, t)
 
 
 def _union_logs(cells, clamp=None) -> np.ndarray:
@@ -126,9 +153,13 @@ def _union_logs(cells, clamp=None) -> np.ndarray:
 
 
 def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
-    """Log of the two split-bound terms at intermediate thresholds t_alpha."""
-    main = log_comb - n * _capped_exponent_array(room - (t_alpha - t), s_main, clamp)
-    star = -n * _exponent_array(t_alpha - t, s_star)
+    """Log of the two split-bound terms at intermediate thresholds t_alpha.
+
+    s_main and s_star are spread arrays or their _Spread (see exponents).
+    """
+    gap = t_alpha - t
+    main = log_comb - n * _capped_exponent_array(room - gap, s_main, clamp)
+    star = -n * _exponent_array(gap, s_star)
     return main, star
 
 
@@ -146,12 +177,15 @@ def _split_optimize(ells, L: int, n, v: float, rate, t: float,
     return _split_cells(_cells(ells, L, n, v, rate, t), t, grid_points)
 
 
-def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
+def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
+                 clamp=None):
     """Optimize the split bound over the open threshold interval of each cell.
 
     The cells are the columns of a _cells table; _split_search does the
-    optimization.  Returns arrays (log_total, t_alpha, log_main, log_star);
-    a cell whose threshold leaves no room gives (0, t, 0, 0).
+    optimization.  clamp, the refined spread's clamp offset per cell, is
+    computed here when not given.  Returns arrays (log_total, t_alpha,
+    log_main, log_star); a cell whose threshold leaves no room gives (0, t,
+    0, 0).
     """
     out = np.zeros((4, cells.shape[1]))
     out[1] = t
@@ -160,15 +194,30 @@ def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
         return tuple(out)
     n, room, log_comb, _, s_main, s_star = cells[:, has_room]
     # the clamp offset takes math's log1p, as the scalar exponent has it
-    P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
+    clamp = 0.5 * _log1p(-s_main) if clamp is None else clamp[has_room]
+    P = np.stack([n, log_comb, s_main, clamp, s_star, room])
     x_opt, _ = _split_search(P, t, grid_points)
     main, star = _split_terms(x_opt, t, *P)
     out[:, has_room] = np.logaddexp(main, star), x_opt, main, star
     return tuple(out)
 
 
+def _fail_above(stop: float) -> float:
+    """Level a bracket lower bound must exceed to fail a cell (see _split_search)."""
+    return stop + _BRACKET_MARGIN * (1.0 + abs(stop))
+
+
+def _grid_thresholds(t, room, ks, grid_points: int):
+    """Thresholds t + room ks / (grid_points + 1) at 1-based grid positions ks.
+
+    The grid stage and the warm-start check of _split_search both place
+    their points here, so a grid point has the same bits in either.
+    """
+    return t + room * ks / (grid_points + 1)
+
+
 def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
-                  stop: float | None = None, groups=None):
+                  stop: float | None = None, groups=None, hint=None):
     """Grid stage, then golden-section refinement around each grid minimum.
 
     P has one column per cell with room and one row per parameter: n,
@@ -183,7 +232,8 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
     its result is at or below ``stop`` exactly when the full search would
     end there.  ``groups`` (an integer label per cell) comes with ``stop``:
     a cell that finishes above ``stop`` ends its group, whose other cells
-    leave where they are, above ``stop``.
+    leave where they are; a cell that ends before any evaluation reports
+    (nan, inf).
 
     With ``stop``, a cell also finishes above it as soon as its bracket
     [a, b] proves the full search would.  The main term is nondecreasing
@@ -195,18 +245,67 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
     fails.  The terms at the bracket ends and interior points ride along
     in the state, so the bound costs no evaluations beyond the two bracket
     ends at the start.
+
+    Two checks run before any grid work in that mode, and neither changes
+    a decision:
+    - the whole-interval screen: the bound over the widest bracket, [t +
+      1e-12 room, t + room (1 - 1e-12)], holds every threshold either
+      stage evaluates, so a cell it fails would fail the full search;
+    - with ``hint`` (a grid index per cell, 0 to grid_points - 1), the
+      warm check: each cell is evaluated at its hinted grid point, which
+      its full search evaluates too, with the same bits (see
+      _grid_thresholds).  A value at or below ``stop`` there means the
+      full search ends at or below it as well, so the cell passes.
+    Only the cells left after both run the grid stage and the refinement,
+    and ``hint`` is updated in place with their new grid argmin.
+    """
+    if stop is None:
+        return _grid_and_refine(P, t, grid_points)[:2]
+    m = P.shape[1]
+    x_out, f_out = np.full(m, np.nan), np.full(m, np.inf)
+    dead = np.zeros(groups.max(initial=-1) + 1, dtype=bool)
+    room = P[5]
+    main, star = _split_terms(np.stack([t + 1e-12 * room, t + room * (1.0 - 1e-12)]),
+                              t, *P)
+    dead[groups[np.logaddexp(main[0], star[1]) > _fail_above(stop)]] = True
+    search = np.flatnonzero(~dead[groups])
+    if hint is not None and search.size:
+        x = _grid_thresholds(t, room[search], hint[search] + 1.0, grid_points)
+        f = np.logaddexp(*_split_terms(x, t, *P[:, search]))
+        met = f <= stop
+        x_out[search[met]], f_out[search[met]] = x[met], f[met]
+        search = search[~met]
+    if search.size:
+        x, f, j = _grid_and_refine(P[:, search], t, grid_points, stop,
+                                   groups[search], dead)
+        x_out[search], f_out[search] = x, f
+        if hint is not None:
+            hint[search] = j
+    return x_out, f_out
+
+
+def _grid_and_refine(P: np.ndarray, t: float, grid_points: int,
+                     stop: float | None = None, groups=None, dead=None):
+    """The grid stage and the refinement of _split_search, on every cell of P.
+
+    Returns (t_alpha, log_total, j): per cell, the best threshold
+    evaluated, its value and the index of its grid minimum.  With
+    ``stop``, the cells the grid settles at or below it skip the
+    refinement.
     """
     room = P[5]
     m = room.size
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
+    j_min = np.empty(m, dtype=np.int64)
     lo, hi, x_grid, f_grid = (np.empty(m) for _ in range(4))
     for start in range(0, m, _GRID_CHUNK):
         block = slice(start, start + _GRID_CHUNK)
         r = room[block, None]
-        xs = t + r * ks / (grid_points + 1)
+        xs = _grid_thresholds(t, r, ks, grid_points)
         tot = np.logaddexp(*_split_terms(xs, t, *P[:, block, None]))
         j = np.argmin(tot, axis=1)
         k = np.arange(j.size)
+        j_min[block] = j
         x_grid[block] = xs[k, j]
         f_grid[block] = tot[k, j]
         lo[block] = np.where(j > 0, xs[k, j - 1], t + 1e-12 * r[:, 0])
@@ -214,57 +313,84 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
                              xs[k, np.minimum(j + 1, grid_points - 1)],
                              t + r[:, 0] * (1.0 - 1e-12))
 
-    final = np.full((4, m), np.inf)                  # c, d, fc, fd at exit
     if stop is None:
-        live, params, a, b = np.arange(m), P, lo, hi
+        c, d, fc, fd = _refine(P, t, lo, hi)
     else:   # cells the grid settles skip the refinement
+        c, d, fc, fd = final = np.full((4, m), np.inf)
         live = np.flatnonzero(f_grid > stop)
-        params, a, b = P[:, live], lo[live], hi[live]
-        dead = np.zeros(groups.max(initial=-1) + 1, dtype=bool)
-        fail_above = stop + _BRACKET_MARGIN * (1.0 + abs(stop))
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    ends = () if stop is None else (a, b)
-    main, star = _split_terms(np.stack([c, d, *ends]), t, *params)
-    # a, b, c, d, fc, fd, and with stop: mc, md, ma, sc, sd, sb, the main (m)
-    # and star (s) terms at the interior points and the bracket ends
-    S = np.stack([a, b, c, d, *np.logaddexp(main[:2], star[:2])])
-    if stop is not None:
-        S = np.concatenate([S, main[:3], star[[0, 1, 3]]])
-    for _ in range(60):
-        if not live.size:
-            break
-        a, b, c, d, fc, fd = S[:6]
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        mx, sx = _split_terms(x, t, *params)
-        fx = np.logaddexp(mx, sx)
-        rows = [a, b, np.where(left, x, d), np.where(left, c, x),
-                np.where(left, fx, fd), np.where(left, fc, fx)]
-        done = b - a <= 1e-14 * params[5]
-        if stop is not None:
-            mc, md, ma, sc, sd, sb = S[6:]
-            ma, sb = np.where(left, ma, mc), np.where(left, sd, sb)
-            rows += [np.where(left, mx, md), np.where(left, mc, mx), ma,
-                     np.where(left, sx, sd), np.where(left, sc, sx), sb]
-            hit = np.minimum(rows[4], rows[5]) <= stop
-            done |= np.logaddexp(ma, sb) > fail_above
-            dead[groups[live[done & ~hit]]] = True
-            done |= hit | dead[groups[live]]
-        S = np.stack(rows)
-        if done.any():
-            final[:, live[done]] = S[2:6, done]
-            keep = ~done
-            S, params, live = S[:, keep], params[:, keep], live[keep]
-    final[:, live] = S[2:6]
-
-    c, d, fc, fd = final
+        if live.size:
+            final[:, live] = _refine(P[:, live], t, lo[live], hi[live], stop,
+                                     groups[live], dead)
     left = fc < fd
     grid = f_grid < np.where(fd < fc, fd, fc)
     return (np.where(grid, x_grid, np.where(left, c, d)),
-            np.where(grid, f_grid, np.where(left, fc, fd)))
+            np.where(grid, f_grid, np.where(left, fc, fd)), j_min)
+
+
+def _refine_params(P: np.ndarray) -> list:
+    """The rows of P as _split_terms takes them, both spreads prepared."""
+    n, log_comb, s_main, clamp, s_star, room = P
+    return [n, log_comb, _prepare_spread(s_main), clamp, _prepare_spread(s_star), room]
+
+
+def _refine(P: np.ndarray, t: float, a, b, stop: float | None = None,
+            groups=None, dead=None) -> np.ndarray:
+    """Golden-section search of every cell of P on its bracket [a, b], in lockstep.
+
+    Returns a (4, cells) array of each cell's last interior points and
+    their values: c, d, fc, fd.  The state is a list of per-cell arrays;
+    it and the prepared parameters are compacted only when a cell exits.
+    With ``stop`` (see _split_search), a cell that finishes above it marks
+    its group in ``dead``, and the group's other cells exit with it.
+    """
+    out = np.empty((4, a.size))
+    live = np.arange(a.size)
+    params, tol = _refine_params(P), 1e-14 * P[5]
+    w = GOLDEN * (b - a)
+    c, d = b - w, a + w
+    decide = stop is not None
+    main, star = _split_terms(np.stack([c, d, a, b] if decide else [c, d]), t, *params)
+    # a, b, c, d, fc, fd, and with stop: mc, md, ma, sc, sd, sb, the main (m)
+    # and star (s) terms at the interior points and the bracket ends
+    state = [a, b, c, d, *np.logaddexp(main[:2], star[:2])]
+    if decide:
+        state += [*main[:3], *star[[0, 1, 3]]]
+        fail_above = _fail_above(stop)
+    for _ in range(60):
+        if not live.size:
+            break
+        a, b, c, d, fc, fd = state[:6]
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        span = b - a
+        w = GOLDEN * span
+        x = np.where(left, b - w, a + w)
+        mx, sx = _split_terms(x, t, *params)
+        fx = np.logaddexp(mx, sx)
+        new = [a, b, np.where(left, x, d), np.where(left, c, x),
+               np.where(left, fx, fd), np.where(left, fc, fx)]
+        done = span <= tol
+        if decide:
+            mc, md, ma, sc, sd, sb = state[6:]
+            ma, sb = np.where(left, ma, mc), np.where(left, sd, sb)
+            new += [np.where(left, mx, md), np.where(left, mc, mx), ma,
+                    np.where(left, sx, sd), np.where(left, sc, sx), sb]
+            hit = np.minimum(new[4], new[5]) <= stop
+            done |= hit | (np.logaddexp(ma, sb) > fail_above)
+        state = new
+        if np.count_nonzero(done):     # a cheaper test than done.any() on small arrays
+            if decide:
+                dead[groups[done & ~hit]] = True
+                done |= dead[groups]
+            keep = ~done
+            out[:, live[done]] = [s[done] for s in state[2:6]]
+            state = [s[keep] for s in state]
+            live, P, tol = live[keep], P[:, keep], tol[keep]
+            params = _refine_params(P)
+            if decide:
+                groups = groups[keep]
+    out[:, live] = state[2:6]
+    return out
 
 
 def _query_params(q: BoundQuery) -> tuple[int, float, float, float, float]:
@@ -357,20 +483,22 @@ def _target_table(ells, L: int, v, rate) -> np.ndarray:
     and refined spreads.  Only n depends on the section size rate, so a
     probe fills in n and reuses the rest.
     """
-    k = len(ells)
-    cells = _cells(np.tile(ells, v.size), L, 0.0, np.repeat(v, k),
-                   np.repeat(rate, k), 0.0)
+    cells = _rate_cells(_count_rows(ells, L, v[:, None]), 0.0, rate[:, None], 0.0)
     clamps = 0.5 * _log1p(-cells[[3, 4]])
-    return np.concatenate([cells, clamps]).reshape(8, v.size, k)
+    return np.concatenate([cells, clamps])
 
 
-def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float) -> np.ndarray:
+def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float,
+                     hint=None) -> np.ndarray:
     """Per row of a target table at codelength n[row]: is every clamped
     per-count bound at most exp(log_eps)?
 
     A cell passes when its union bound does, or else when some threshold
     the split search evaluates does (see _split_search); a row fails as
     soon as one of its cells fails, and its other cells stop there.
+    ``hint``, an integer array on the table's (rows, counts) shape, warm
+    starts each split search at a grid point and takes its new grid argmin
+    in place.
     """
     ok = np.ones(n.size, dtype=bool)
     if log_eps >= 0.0:    # clamped bounds never exceed 1
@@ -382,7 +510,10 @@ def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float) -> np.nda
     if rows.size:
         P = np.stack([n[rows], log_comb[rows, cols], s_main[rows, cols],
                       clamp_main[rows, cols], s_star[rows, cols], room[rows, cols]])
-        _, log_split = _split_search(P, 0.0, stop=log_eps, groups=rows)
+        cell_hint = None if hint is None else hint[rows, cols]
+        _, log_split = _split_search(P, 0.0, stop=log_eps, groups=rows, hint=cell_hint)
+        if hint is not None:
+            hint[rows, cols] = cell_hint
         ok[rows[log_split > log_eps]] = False
     return ok
 
@@ -397,7 +528,8 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
     Feasibility is monotone in a (larger a means longer codewords), so each
     element is a bracketed bisection on [1e-6, a_max] to width tol,
     re-deriving n = a L ln L / R at each probe.  All elements bisect in
-    lockstep, one _target_feasible decision per step on one table of cells.
+    lockstep, one _target_feasible decision per step on one table of cells,
+    and each cell's latest grid argmin warm starts its next split search.
     Raises InfeasibleError for the first element, in input order, that
     even a_max fails.  L must be an integer of at least 2: at L = 1 the
     codelength is 0 for every a.
@@ -422,9 +554,14 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
     ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
     table = _target_table(ells, L, vs, rates)
     log_eps, log_L = math.log(epsilon), math.log(L)
+    hint = np.full(table.shape[1:], _GRID_POINTS // 2)
 
     def feasible(rows, a):
-        return _target_feasible(table[:, rows], a * L * log_L / rates[rows], log_eps)
+        row_hint = hint[rows]
+        ok = _target_feasible(table[:, rows], a * L * log_L / rates[rows], log_eps,
+                              row_hint)
+        hint[rows] = row_hint
+        return ok
 
     out = np.full(vs.size, _A_FLOOR)
     rows = np.flatnonzero(~feasible(np.arange(vs.size), out))
@@ -482,8 +619,11 @@ def achievable_rate(v: float, L: int, a: float, epsilon: float,
 
     rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
     ns = L * math.log(B) / rates
-    logs, _, _, _ = _split_optimize(np.tile(np.arange(1, L + 1), rates.size), L,
-                                    np.repeat(ns, L), v, np.repeat(rates, L), 0.0)
+    # the per-count inputs are built once and broadcast over the rates
+    counts = _count_rows(np.arange(1, L + 1), L, v)
+    cells = _rate_cells(counts, ns[:, None], rates[:, None], 0.0).reshape(6, -1)
+    logs, _, _, _ = _split_cells(cells, 0.0,
+                                 clamp=np.tile(0.5 * _log1p(-counts[4]), rates.size))
     probs = np.exp(np.minimum(logs.reshape(rates.size, L), 0.0))
     # tails[r, ell0 - 1]: the clamped tail from ell0 at rate r
     tails = np.minimum(1.0, np.cumsum(probs[:, ::-1], axis=1)[:, ::-1])[:, :ell0_max]

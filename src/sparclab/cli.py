@@ -128,11 +128,9 @@ def _option(dest: str) -> str:
 def _resolve_B(args) -> int:
     if args.B is not None:
         return args.B
-    if args.a is not None:
-        if args.L is None:
-            raise SystemExit("--a needs --L")
+    if args.a is not None:   # every caller has checked --L
         return next_power_of_two(math.ceil(args.L ** args.a))
-    raise SystemExit("give either --B or --a")
+    raise ValueError("give either --B or --a")
 
 
 def _resolve_rate(args, v: float) -> float:
@@ -140,7 +138,7 @@ def _resolve_rate(args, v: float) -> float:
         return args.rate_fraction * capacity(v)
     if args.rate is not None:
         return args.rate * LN2 if args.units == "bits" else args.rate
-    raise SystemExit("give either --rate or --rate-fraction")
+    raise ValueError("give either --rate or --rate-fraction")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,7 +152,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_bounds(args) -> int:
     v = args.snr if args.snr is not None else 15.0
     if args.L is None:
-        raise SystemExit("bounds needs --L")
+        raise ValueError("bounds needs --L")
     code = CodeSpec(L=args.L, B=_resolve_B(args), rate=_resolve_rate(args, v))
     channel = ChannelSpec.from_snr(v)
     t = args.t if args.t is not None else 0.0
@@ -187,7 +185,7 @@ def _cmd_curves(args) -> int:
 def _cmd_simulate(args) -> int:
     v = args.snr if args.snr is not None else 15.0
     if args.L is None:
-        raise SystemExit("simulate needs --L")
+        raise ValueError("simulate needs --L")
     config = ExperimentConfig(
         snr=v,
         L=args.L,
@@ -224,7 +222,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_power_check(args) -> int:
     v = args.snr if args.snr is not None else 15.0
     if args.L is None:
-        raise SystemExit("power-check needs --L")
+        raise ValueError("power-check needs --L")
     code = CodeSpec(L=args.L, B=_resolve_B(args), rate=_resolve_rate(args, v),
                     signed=args.signed)
     channel = ChannelSpec.from_snr(v)
@@ -238,23 +236,26 @@ def _cmd_power_check(args) -> int:
 
 def _cmd_compose_demo(args) -> int:
     if args.L is None:
-        raise SystemExit("compose-demo needs --L")
+        raise ValueError("compose-demo needs --L")
     B = _resolve_B(args)
     if B & (B - 1):
-        raise SystemExit("compose-demo needs a power-of-two B")
+        raise ValueError("compose-demo needs a power-of-two B")
     m = B.bit_length() - 1
     d_rs = args.rs_distance if args.rs_distance is not None else 5
     rs = RSSpec(Field(m), args.L, args.L - d_rs + 1)
     code = CodeSpec(L=args.L, B=B, rate=1.0)
+
+    n_err = args.errors if args.errors is not None else rs.t_RS
+    if not 0 <= n_err <= args.L:
+        raise ValueError(f"--errors must be in [0, L={args.L}], got {n_err}")
 
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(args.seed))
     bits = "".join(str(b) for b in rng.integers(0, 2, rs.K_out * m))
     beta = compose_encode(bits, code, rs)
 
-    n_err = args.errors if args.errors is not None else rs.t_RS
     labels = list(beta.indices)
-    positions = rng.choice(args.L, size=min(n_err, args.L), replace=False)
+    positions = rng.choice(args.L, size=n_err, replace=False)
     for p in positions:
         labels[p] ^= int(rng.integers(1, B))
     out_bits, ok = compose_decode(labels, rs)
@@ -310,7 +311,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     """Run one subcommand.
 
-    A bad value (a library ValueError) or a file that cannot be read or
+    A bad or missing value (a ValueError) or a file that cannot be read or
     written is the subcommand's usage error, exit status 2; a bound level
     nothing meets (InfeasibleError) is a one-line error, exit status 1.
     """

@@ -11,6 +11,7 @@ happens only at I/O boundaries.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,14 +75,37 @@ def _tilt(d, spread, root):
     return 2.0 * d / (spread * (1.0 + root))
 
 
+class _Spread(NamedTuple):
+    """Per-element constants of a spread array, prepared once for many kernel calls.
+
+    safe is the spread with its zeros replaced by 1, so the closed form
+    never divides by zero; zero marks those elements and any_zero says
+    whether there are any, so a kernel skips the zero-spread fix-up when
+    there are none.
+    """
+
+    safe: np.ndarray
+    zero: np.ndarray
+    any_zero: bool
+
+
+def _prepare_spread(spread) -> _Spread:
+    """The _Spread of a spread array (or scalar)."""
+    zero = np.asarray(spread, dtype=np.float64) == 0.0
+    return _Spread(np.where(zero, 1.0, spread), zero, bool(zero.any()))
+
+
 def _exponent_array(delta, spread):
-    """Unchecked kernel of deviation_exponent; nonpositive gaps give zero."""
+    """Unchecked kernel of deviation_exponent; nonpositive gaps give zero.
+
+    spread is an array or its _Spread.
+    """
+    if not isinstance(spread, _Spread):
+        spread = _prepare_spread(spread)
     d = np.maximum(delta, 0.0)
-    zero = spread == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, _ = _interior(d, spread)
-    if np.any(zero):
-        value = np.where(zero, np.where(d > 0.0, math.inf, 0.0), value)
+    value, _ = _interior(d, spread.safe)
+    if spread.any_zero:
+        value = np.where(spread.zero, np.where(d > 0.0, math.inf, 0.0), value)
     return value
 
 
@@ -89,19 +113,19 @@ def _capped_exponent_array(delta, spread, clamp_offset=None):
     """Unchecked kernel of capped_deviation_exponent.
 
     Nonpositive gaps give zero and zero spread gives the gap itself.
-    ``clamp_offset`` is (1/2)ln(1 - spread) on spread's shape; it defaults
-    to _log1p's.  At spread 1 the tilt never reaches 1, so the offset there
-    is never used.
+    spread is an array or its _Spread.  ``clamp_offset`` is (1/2)ln(1 -
+    spread) on spread's shape; it defaults to _log1p's and must be given
+    with a _Spread.  At spread 1 the tilt never reaches 1, so the offset
+    there is never used.
     """
+    if not isinstance(spread, _Spread):
+        if clamp_offset is None:
+            clamp_offset = 0.5 * _log1p(-np.asarray(spread, dtype=np.float64))
+        spread = _prepare_spread(spread)
     d = np.maximum(delta, 0.0)
-    spread = np.asarray(spread, dtype=np.float64)
-    if clamp_offset is None:
-        clamp_offset = 0.5 * _log1p(-spread)
-    zero = spread == 0.0
-    safe = np.where(zero, 1.0, spread)
-    interior, root = _interior(d, safe)
-    value = np.where(_tilt(d, safe, root) >= 1.0, d + clamp_offset, interior)
-    return np.where(zero, d, value)
+    interior, root = _interior(d, spread.safe)
+    value = np.where(_tilt(d, spread.safe, root) >= 1.0, d + clamp_offset, interior)
+    return np.where(spread.zero, d, value) if spread.any_zero else value
 
 
 def optimal_tilt(delta, spread):

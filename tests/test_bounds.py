@@ -13,6 +13,7 @@ from sparclab.bounds import (
     BoundQuery,
     InfeasibleError,
     _cells,
+    _grid_thresholds,
     _split_optimize,
     _split_search,
     _split_terms,
@@ -497,17 +498,121 @@ class TestBracketLowerBound:
         assert checked >= 150
 
     def test_fig3_split_terms_calls_bounded(self, monkeypatch):
-        calls = 0
+        # kernel evaluations: calls, and thresholds evaluated over all calls
+        calls = points = 0
         inner = bounds._split_terms
 
-        def counted(*args):
-            nonlocal calls
+        def counted(t_alpha, *args):
+            nonlocal calls, points
             calls += 1
-            return inner(*args)
+            points += np.size(t_alpha)
+            return inner(t_alpha, *args)
 
         monkeypatch.setattr(bounds, "_split_terms", counted)
         fig3_rows()
-        assert 0 < calls <= 600
+        assert 0 < calls <= 380
+        assert 0 < points <= 130_000
+
+
+class TestWarmProbes:
+    """Decision-mode checks before the grid stage: the whole-interval
+    screen and the warm check at each cell's hinted grid point."""
+
+    def test_hinted_probe_sequences_match_oracle(self, monkeypatch):
+        # per group, one table and one hint array carried across a seeded
+        # sequence of probes in random order: near each row's target section
+        # size rate, where most split searches pass, and far from it, so
+        # that many hints are stale.  The hints start at both grid ends and
+        # between.
+        rng = np.random.default_rng(29)
+        hinted, warm_points = set(), set()
+        tallies = {"warm": 0, "search": 0, True: 0, False: 0}
+        search = bounds._split_search
+
+        def spy(P, t, grid_points=256, stop=None, groups=None, hint=None):
+            if hint is None:    # the oracle's full searches
+                return search(P, t, grid_points, stop, groups, hint)
+            before = hint.copy()
+            x, f = search(P, t, grid_points, stop, groups, hint)
+            # a pass at the hinted point has that point's bits (see _grid_thresholds)
+            warm = (f <= stop) & (x == _grid_thresholds(t, P[5], before + 1.0, grid_points))
+            hinted.update(before.tolist())
+            warm_points.update(before[warm].tolist())
+            tallies["warm"] += int(warm.sum())
+            tallies["search"] += P.shape[1]
+            return x, f
+
+        monkeypatch.setattr(bounds, "_split_search", spy)
+        for L, alpha0, eps, a_max, vs, rates in target_box(seed=9):
+            ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
+            v, rate = np.array(vs), np.array(rates)
+            table = _target_table(ells, L, v, rate)
+            hint = rng.choice([0, 255, 128, int(rng.integers(1, 255))],
+                              size=table.shape[1:])
+            edge = [outcome(min_section_size_rate_for_target, x, L, r, alpha0, eps, a_max)
+                    for x, r in zip(vs, rates)]
+            edge = np.array([a_max if isinstance(e, str) else e for e in edge])
+            near = edge * rng.uniform(0.98, 1.02, (4, v.size))
+            far = 10.0 ** rng.uniform(-6.0, 2.0, (2, v.size))
+            for a in rng.permutation(np.concatenate([near, far])):
+                got = _target_feasible(table, a * L * math.log(L) / rate,
+                                       math.log(eps), hint).tolist()
+                want = [target_feasible(x, L, r, alpha0, eps, y)
+                        for x, r, y in zip(vs, rates, a.tolist())]
+                assert got == want, (L, alpha0, eps, vs, rates, a)
+                assert hint.min() >= 0 and hint.max() <= 255
+                for w in want:
+                    tallies[w] += 1
+        assert min(tallies[True], tallies[False]) >= 80
+        assert {0, 255} <= hinted and len(warm_points) >= 20
+        assert tallies["warm"] >= 500 and tallies["search"] >= 2 * tallies["warm"]
+
+    def test_warm_check_passes_at_the_hinted_grid_point(self):
+        # at the grid ends and between, a stop level at the value the grid
+        # stage finds at the hinted point passes there, at that point: the
+        # one-point evaluation has the grid's bits
+        rng = np.random.default_rng(31)
+        checked = 0
+        for L, v, t, ells, ns, rates in oracle_box(seed=8, groups=6, per_group=20):
+            cells = _cells(ells, L, ns, v, rates, t)
+            n, room, log_comb, _, s_main, s_star = cells[:, cells[1] > 0.0]
+            P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
+            xs = _grid_thresholds(t, room[:, None], np.arange(1.0, 257.0), 256)
+            grid = np.logaddexp(*_split_terms(xs, t, *P[:, :, None]))
+            for i in range(room.size):
+                for h in (0, 255, int(rng.integers(1, 255))):
+                    hint = np.array([h])
+                    x, f = _split_search(P[:, i:i + 1], t, stop=grid[i, h],
+                                         groups=np.zeros(1, dtype=np.int64), hint=hint)
+                    assert (x[0], f[0], hint[0]) == (xs[i, h], grid[i, h], h)
+                    checked += 1
+        assert checked >= 300
+
+    def test_fig3_floor_probe_runs_no_grid_stage(self, monkeypatch):
+        probes = []     # per probe: [cells searched, cells through the grid stage]
+        feasible, search, grid = (bounds._target_feasible, bounds._split_search,
+                                  bounds._grid_and_refine)
+
+        def probe(*args):
+            probes.append([0, 0])
+            return feasible(*args)
+
+        def searched(P, *args, **kwargs):
+            probes[-1][0] += P.shape[1]
+            return search(P, *args, **kwargs)
+
+        def gridded(P, *args):
+            probes[-1][1] += P.shape[1]
+            return grid(P, *args)
+
+        monkeypatch.setattr(bounds, "_target_feasible", probe)
+        monkeypatch.setattr(bounds, "_split_search", searched)
+        monkeypatch.setattr(bounds, "_grid_and_refine", gridded)
+        fig3_rows()
+        assert probes[0][0] >= 300 and probes[0][1] == 0
+        # after the first probes, the warm check settles most searched cells
+        late = probes[len(probes) // 2:]
+        assert sum(g for _, g in late) * 4 <= sum(s for s, _ in late)
 
 
 class TestTargetElementwise:

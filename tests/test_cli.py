@@ -234,6 +234,26 @@ class TestErrorSurface:
             assert exc.value.code == 2
             assert "No such file or directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bounds", "--L", "3", "--rate-fraction", "0.5"], "give either --B or --a"),
+        (["bounds", "--B", "4", "--rate-fraction", "0.5"], "bounds needs --L"),
+        (["simulate", "--L", "3", "--B", "4"], "give either --rate or --rate-fraction"),
+        (["power-check", "--B", "4", "--rate-fraction", "0.5"], "power-check needs --L"),
+        (["compose-demo", "--B", "16"], "compose-demo needs --L"),
+        (["compose-demo", "--L", "7", "--B", "12"], "compose-demo needs a power-of-two B"),
+        (["compose-demo", "--L", "15", "--B", "16", "--errors", "20"],
+         "--errors must be in [0, L=15], got 20"),
+        (["compose-demo", "--L", "15", "--B", "16", "--errors", "-1"],
+         "--errors must be in [0, L=15], got -1"),
+    ])
+    def test_missing_or_bad_input_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: sparclab {argv[0]}")
+        assert err.endswith(f"sparclab {argv[0]}: error: {message}\n")
+
     def test_infeasible_target_is_one_line_exit_1(self, capsys):
         rc = run_cli(["curves", "--kind", "fig3", "--snr-list", "2,0.0001"])
         assert rc == 1
