@@ -59,8 +59,8 @@ class BoundQuery:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"threshold must be nonnegative, got {self.t}")
+        if not (self.t >= 0 and math.isfinite(self.t)):
+            raise ValueError(f"threshold must be nonnegative and finite, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -102,61 +102,63 @@ class TailBound:
     total: float
     policy: str = "split"
 
+    def total_from(self, ell0: int) -> float:
+        """The tail from a larger ell0: the suffix of per_ell from ell0 on,
+        summed and clamped as total is, so ell0 = self.ell0 gives total."""
+        if not self.ell0 <= ell0 < self.ell0 + len(self.per_ell):
+            raise ValueError(f"need {self.ell0} <= ell0 <= "
+                             f"{self.ell0 + len(self.per_ell) - 1}, got {ell0}")
+        return _clamped_sum(self.per_ell[ell0 - self.ell0:], self.policy)
 
-def _count_rows(ells, L: int, v) -> np.ndarray:
-    """Per-count inputs of both bounds, which depend on ell and v only.
 
-    A (6, ...) array of alpha = ell/L, the partial capacity C_alpha,
-    ln(L choose ell), and the direct, refined and star spreads, the last
-    being the direct spread at alpha^2.  The raveled ells broadcast against
-    v, so a v of shape (rows, 1) gives one row of counts per snr.
+def _clamped_sum(per_ell, policy: str) -> float:
+    return min(1.0, sum(b.chosen(policy) for b in per_ell))
+
+
+def _first_count(alpha0: float, L: int) -> int:
+    """Smallest mistake count a tail from mistake fraction alpha0 covers.
+
+    ValueError unless alpha0 is in [0, 1] (NaN included), before any bound
+    is computed.
     """
-    ells = np.asarray(ells, dtype=np.int64).ravel()
-    alpha = ells / L
-    return np.stack(np.broadcast_arrays(
-        alpha, partial_capacity(alpha, v), log_binomial(L, ells),
-        spread_direct(alpha, v), spread_refined(alpha, v),
-        spread_direct(alpha * alpha, v)))
-
-
-def _rate_cells(counts, n, rate, t: float) -> np.ndarray:
-    """The _cells rows of _count_rows counts at codelength n and rate.
-
-    n and rate broadcast against the counts, so per-count inputs built once
-    serve every rate.
-    """
-    alpha, c_alpha, log_comb, s_direct, s_refined, s_star = counts
-    return np.stack(np.broadcast_arrays(
-        n, c_alpha - alpha * rate - t, log_comb, s_direct, s_refined, s_star))
+    if not 0.0 <= alpha0 <= 1.0:
+        raise ValueError(f"alpha0 must be in [0, 1], got {alpha0}")
+    return max(1, math.ceil(alpha0 * L - 1e-9))
 
 
 def _cells(ells, L: int, n, v, rate, t: float) -> np.ndarray:
-    """Per-cell inputs of both bounds, one row each, as a (6, cells) array.
+    """Per-cell inputs of both bounds as an (8, ...) table, one row each.
 
-    Cell i is mistake count ells[i] at codelength n[i], snr v[i] and rate
-    rate[i] (n, v and rate may be scalars shared by all cells).  The rows
-    are n, the gap room = C_alpha - alpha R - t, ln(L choose ell), and the
-    direct, refined and star spreads, the last being the direct spread at
-    alpha^2.
+    The rows are n, the gap room = C_alpha - alpha R - t, ln(L choose ell),
+    the direct, refined and star spreads (the last the direct spread at
+    alpha^2), and the clamp offsets (1/2)ln(1 - s) of the direct and
+    refined spreads, with math's log1p bits.  The per-count rows are built
+    once over the raveled ells and v, and n and rate broadcast against
+    them: a v of shape (rows, 1) gives one row of counts per snr, an n and
+    rate of shape (rates, 1) one row per rate.
     """
-    return _rate_cells(_count_rows(ells, L, v), n, rate, t)
+    ells = np.asarray(ells, dtype=np.int64).ravel()
+    alpha = ells / L
+    s_direct, s_refined = spread_direct(alpha, v), spread_refined(alpha, v)
+    return np.stack(np.broadcast_arrays(
+        n, partial_capacity(alpha, v) - alpha * rate - t, log_binomial(L, ells),
+        s_direct, s_refined, spread_direct(alpha * alpha, v),
+        0.5 * _log1p(-s_direct), 0.5 * _log1p(-s_refined)))
 
 
-def _union_logs(cells, clamp=None) -> np.ndarray:
-    """ln of the single-term bound per cell, before clamping.
-
-    clamp is the direct spread's clamp offset, (1/2)ln(1 - s_direct); it
-    defaults to the exponent kernel's.
-    """
-    n, room, log_comb, s_direct, _, _ = cells
+def _union_logs(cells) -> np.ndarray:
+    """ln of the single-term bound per cell of a _cells table, before clamping."""
+    n, room, log_comb, s_direct, _, _, clamp, _ = cells
     return log_comb - n * _capped_exponent_array(room, s_direct, clamp)
 
 
-def _split_terms(t_alpha, t, n, log_comb, s_main, clamp, s_star, room):
+def _split_terms(t_alpha, t, cells):
     """Log of the two split-bound terms at intermediate thresholds t_alpha.
 
-    s_main and s_star are spread arrays or their _Spread (see exponents).
+    cells is a _cells table, or its rows with both spreads of the split
+    bound replaced by their _Spread (see exponents and _refine_params).
     """
+    n, room, log_comb, _, s_main, s_star, _, clamp = cells
     gap = t_alpha - t
     main = log_comb - n * _capped_exponent_array(room - gap, s_main, clamp)
     star = -n * _exponent_array(gap, s_star)
@@ -168,36 +170,22 @@ _GRID_CHUNK = 16    # cells per grid-stage pass; bounds the (cells, grid) tempor
 _BRACKET_MARGIN = 1e-9  # relative slack of the bracket lower bound (see _split_search)
 
 
-def _split_optimize(ells, L: int, n, v: float, rate, t: float,
-                    grid_points: int = _GRID_POINTS):
-    """Optimize the split bound over the open threshold interval, per cell.
-
-    The cells are those of _cells(ells, L, n, v, rate, t); see _split_cells.
-    """
-    return _split_cells(_cells(ells, L, n, v, rate, t), t, grid_points)
-
-
-def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
-                 clamp=None):
+def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
     """Optimize the split bound over the open threshold interval of each cell.
 
-    The cells are the columns of a _cells table; _split_search does the
-    optimization.  clamp, the refined spread's clamp offset per cell, is
-    computed here when not given.  Returns arrays (log_total, t_alpha,
-    log_main, log_star); a cell whose threshold leaves no room gives (0, t,
-    0, 0).
+    The cells are the columns of a _cells table: a grid stage, then
+    golden-section refinement around each grid minimum (_grid_and_refine).
+    Returns arrays (log_total, t_alpha, log_main, log_star); a cell whose
+    threshold leaves no room gives (0, t, 0, 0).
     """
     out = np.zeros((4, cells.shape[1]))
     out[1] = t
     has_room = cells[1] > 0.0
     if not has_room.any():
         return tuple(out)
-    n, room, log_comb, _, s_main, s_star = cells[:, has_room]
-    # the clamp offset takes math's log1p, as the scalar exponent has it
-    clamp = 0.5 * _log1p(-s_main) if clamp is None else clamp[has_room]
-    P = np.stack([n, log_comb, s_main, clamp, s_star, room])
-    x_opt, _ = _split_search(P, t, grid_points)
-    main, star = _split_terms(x_opt, t, *P)
+    cells = cells[:, has_room]
+    x_opt, _, _ = _grid_and_refine(cells, t, grid_points)
+    main, star = _split_terms(x_opt, t, cells)
     out[:, has_room] = np.logaddexp(main, star), x_opt, main, star
     return tuple(out)
 
@@ -216,26 +204,24 @@ def _grid_thresholds(t, room, ks, grid_points: int):
     return t + room * ks / (grid_points + 1)
 
 
-def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
-                  stop: float | None = None, groups=None, hint=None):
-    """Grid stage, then golden-section refinement around each grid minimum.
+def _split_search(cells: np.ndarray, t: float, stop: float, groups, hint=None):
+    """Is the optimized split bound of each cell at or below ``stop``?
 
-    P has one column per cell with room and one row per parameter: n,
-    log_comb, s_main, clamp, s_star, room.  The refinement runs on every
-    cell in lockstep, with per-cell masks for the bracket update and the
-    exits.  Returns (t_alpha, log_total): per cell, the best threshold the
-    search evaluated and its value.
+    cells are the columns with room of a _cells table.  The search is
+    _grid_and_refine's (a grid stage, then golden-section refinement
+    around each grid minimum, on every cell in lockstep), cut short once
+    a cell's decision is known.  Returns (t_alpha, log_total): per cell,
+    the threshold it left at and its value.
 
     Golden-section search keeps the better of its two interior points, so
-    the returned value is the smallest one evaluated.  Given a ``stop``
-    level, a cell therefore leaves at its first value at or below it, and
-    its result is at or below ``stop`` exactly when the full search would
-    end there.  ``groups`` (an integer label per cell) comes with ``stop``:
-    a cell that finishes above ``stop`` ends its group, whose other cells
-    leave where they are; a cell that ends before any evaluation reports
-    (nan, inf).
+    the full search returns the smallest value it evaluated.  A cell
+    therefore leaves at its first value at or below ``stop``, and its
+    result is at or below ``stop`` exactly when the full search would end
+    there.  ``groups`` is an integer label per cell: a cell that finishes
+    above ``stop`` ends its group, whose other cells leave where they are;
+    a cell that ends before any evaluation reports (nan, inf).
 
-    With ``stop``, a cell also finishes above it as soon as its bracket
+    A cell also finishes above ``stop`` as soon as its bracket
     [a, b] proves the full search would.  The main term is nondecreasing
     in the threshold (its gap room - (x - t) shrinks) and the star term
     nonincreasing (its gap x - t grows), so every value left to evaluate,
@@ -246,12 +232,11 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
     in the state, so the bound costs no evaluations beyond the two bracket
     ends at the start.
 
-    Two checks run before any grid work in that mode, and neither changes
-    a decision:
+    Two checks run before any grid work, and neither changes a decision:
     - the whole-interval screen: the bound over the widest bracket, [t +
       1e-12 room, t + room (1 - 1e-12)], holds every threshold either
       stage evaluates, so a cell it fails would fail the full search;
-    - with ``hint`` (a grid index per cell, 0 to grid_points - 1), the
+    - with ``hint`` (a grid index per cell, 0 to _GRID_POINTS - 1), the
       warm check: each cell is evaluated at its hinted grid point, which
       its full search evaluates too, with the same bits (see
       _grid_thresholds).  A value at or below ``stop`` there means the
@@ -259,24 +244,22 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
     Only the cells left after both run the grid stage and the refinement,
     and ``hint`` is updated in place with their new grid argmin.
     """
-    if stop is None:
-        return _grid_and_refine(P, t, grid_points)[:2]
-    m = P.shape[1]
+    m = cells.shape[1]
     x_out, f_out = np.full(m, np.nan), np.full(m, np.inf)
     dead = np.zeros(groups.max(initial=-1) + 1, dtype=bool)
-    room = P[5]
+    room = cells[1]
     main, star = _split_terms(np.stack([t + 1e-12 * room, t + room * (1.0 - 1e-12)]),
-                              t, *P)
+                              t, cells)
     dead[groups[np.logaddexp(main[0], star[1]) > _fail_above(stop)]] = True
     search = np.flatnonzero(~dead[groups])
     if hint is not None and search.size:
-        x = _grid_thresholds(t, room[search], hint[search] + 1.0, grid_points)
-        f = np.logaddexp(*_split_terms(x, t, *P[:, search]))
+        x = _grid_thresholds(t, room[search], hint[search] + 1.0, _GRID_POINTS)
+        f = np.logaddexp(*_split_terms(x, t, cells[:, search]))
         met = f <= stop
         x_out[search[met]], f_out[search[met]] = x[met], f[met]
         search = search[~met]
     if search.size:
-        x, f, j = _grid_and_refine(P[:, search], t, grid_points, stop,
+        x, f, j = _grid_and_refine(cells[:, search], t, _GRID_POINTS, stop,
                                    groups[search], dead)
         x_out[search], f_out[search] = x, f
         if hint is not None:
@@ -284,16 +267,16 @@ def _split_search(P: np.ndarray, t: float, grid_points: int = _GRID_POINTS,
     return x_out, f_out
 
 
-def _grid_and_refine(P: np.ndarray, t: float, grid_points: int,
+def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
                      stop: float | None = None, groups=None, dead=None):
-    """The grid stage and the refinement of _split_search, on every cell of P.
+    """Grid stage, then golden-section refinement around each grid minimum.
 
-    Returns (t_alpha, log_total, j): per cell, the best threshold
-    evaluated, its value and the index of its grid minimum.  With
-    ``stop``, the cells the grid settles at or below it skip the
-    refinement.
+    The cells are the columns with room of a _cells table.  Returns
+    (t_alpha, log_total, j): per cell, the best threshold evaluated, its
+    value and the index of its grid minimum.  With ``stop``, the cells the
+    grid settles at or below it skip the refinement.
     """
-    room = P[5]
+    room = cells[1]
     m = room.size
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
     j_min = np.empty(m, dtype=np.int64)
@@ -302,7 +285,7 @@ def _grid_and_refine(P: np.ndarray, t: float, grid_points: int,
         block = slice(start, start + _GRID_CHUNK)
         r = room[block, None]
         xs = _grid_thresholds(t, r, ks, grid_points)
-        tot = np.logaddexp(*_split_terms(xs, t, *P[:, block, None]))
+        tot = np.logaddexp(*_split_terms(xs, t, cells[:, block, None]))
         j = np.argmin(tot, axis=1)
         k = np.arange(j.size)
         j_min[block] = j
@@ -314,12 +297,12 @@ def _grid_and_refine(P: np.ndarray, t: float, grid_points: int,
                              t + r[:, 0] * (1.0 - 1e-12))
 
     if stop is None:
-        c, d, fc, fd = _refine(P, t, lo, hi)
+        c, d, fc, fd = _refine(cells, t, lo, hi)
     else:   # cells the grid settles skip the refinement
         c, d, fc, fd = final = np.full((4, m), np.inf)
         live = np.flatnonzero(f_grid > stop)
         if live.size:
-            final[:, live] = _refine(P[:, live], t, lo[live], hi[live], stop,
+            final[:, live] = _refine(cells[:, live], t, lo[live], hi[live], stop,
                                      groups[live], dead)
     left = fc < fd
     grid = f_grid < np.where(fd < fc, fd, fc)
@@ -327,15 +310,16 @@ def _grid_and_refine(P: np.ndarray, t: float, grid_points: int,
             np.where(grid, f_grid, np.where(left, fc, fd)), j_min)
 
 
-def _refine_params(P: np.ndarray) -> list:
-    """The rows of P as _split_terms takes them, both spreads prepared."""
-    n, log_comb, s_main, clamp, s_star, room = P
-    return [n, log_comb, _prepare_spread(s_main), clamp, _prepare_spread(s_star), room]
+def _refine_params(cells: np.ndarray) -> list:
+    """The rows of a _cells table, the split bound's two spreads prepared."""
+    params = list(cells)
+    params[4:6] = map(_prepare_spread, params[4:6])
+    return params
 
 
-def _refine(P: np.ndarray, t: float, a, b, stop: float | None = None,
+def _refine(cells: np.ndarray, t: float, a, b, stop: float | None = None,
             groups=None, dead=None) -> np.ndarray:
-    """Golden-section search of every cell of P on its bracket [a, b], in lockstep.
+    """Golden-section search of every cell on its bracket [a, b], in lockstep.
 
     Returns a (4, cells) array of each cell's last interior points and
     their values: c, d, fc, fd.  The state is a list of per-cell arrays;
@@ -345,11 +329,11 @@ def _refine(P: np.ndarray, t: float, a, b, stop: float | None = None,
     """
     out = np.empty((4, a.size))
     live = np.arange(a.size)
-    params, tol = _refine_params(P), 1e-14 * P[5]
+    params, tol = _refine_params(cells), 1e-14 * cells[1]
     w = GOLDEN * (b - a)
     c, d = b - w, a + w
     decide = stop is not None
-    main, star = _split_terms(np.stack([c, d, a, b] if decide else [c, d]), t, *params)
+    main, star = _split_terms(np.stack([c, d, a, b] if decide else [c, d]), t, params)
     # a, b, c, d, fc, fd, and with stop: mc, md, ma, sc, sd, sb, the main (m)
     # and star (s) terms at the interior points and the bracket ends
     state = [a, b, c, d, *np.logaddexp(main[:2], star[:2])]
@@ -365,7 +349,7 @@ def _refine(P: np.ndarray, t: float, a, b, stop: float | None = None,
         span = b - a
         w = GOLDEN * span
         x = np.where(left, b - w, a + w)
-        mx, sx = _split_terms(x, t, *params)
+        mx, sx = _split_terms(x, t, params)
         fx = np.logaddexp(mx, sx)
         new = [a, b, np.where(left, x, d), np.where(left, c, x),
                np.where(left, fx, fd), np.where(left, fc, fx)]
@@ -385,8 +369,8 @@ def _refine(P: np.ndarray, t: float, a, b, stop: float | None = None,
             keep = ~done
             out[:, live[done]] = [s[done] for s in state[2:6]]
             state = [s[keep] for s in state]
-            live, P, tol = live[keep], P[:, keep], tol[keep]
-            params = _refine_params(P)
+            live, cells, tol = live[keep], cells[:, keep], tol[keep]
+            params = _refine_params(cells)
             if decide:
                 groups = groups[keep]
     out[:, live] = state[2:6]
@@ -416,7 +400,7 @@ def split_bound(ell: int, q: BoundQuery) -> tuple[float, float]:
     if not 1 <= ell <= L:
         raise ValueError(f"need 1 <= ell <= L, got {ell}")
     log_total, t_opt, _, _ = (float(x[0]) for x in
-                              _split_optimize([ell], L, n, v, rate, t))
+                              _split_cells(_cells([ell], L, n, v, rate, t), t))
     return min(1.0, math.exp(min(0.0, log_total))), t_opt
 
 
@@ -455,8 +439,7 @@ def mistake_tail_bound(ell0: int, q: BoundQuery,
     if not 1 <= ell0 <= L:
         raise ValueError(f"need 1 <= ell0 <= L, got {ell0}")
     per = _section_bounds(range(ell0, L + 1), q)
-    return TailBound(ell0=ell0, per_ell=per,
-                     total=min(1.0, sum(b.chosen(policy) for b in per)),
+    return TailBound(ell0=ell0, per_ell=per, total=_clamped_sum(per, policy),
                      policy=policy)
 
 
@@ -475,27 +458,15 @@ def subset_rate(alpha: float, N: int, L: int, rate: float) -> float:
 _A_FLOOR = 1e-6   # lower bracket of the target search, returned when it already passes
 
 
-def _target_table(ells, L: int, v, rate) -> np.ndarray:
-    """Cells of the target search as an (8, rows, len(ells)) array.
-
-    Row r holds mistake counts ells at snr v[r] and rate rate[r]: the six
-    _cells rows with n left at zero, then the clamp offsets of the direct
-    and refined spreads.  Only n depends on the section size rate, so a
-    probe fills in n and reuses the rest.
-    """
-    cells = _rate_cells(_count_rows(ells, L, v[:, None]), 0.0, rate[:, None], 0.0)
-    clamps = 0.5 * _log1p(-cells[[3, 4]])
-    return np.concatenate([cells, clamps])
-
-
 def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float,
                      hint=None) -> np.ndarray:
-    """Per row of a target table at codelength n[row]: is every clamped
-    per-count bound at most exp(log_eps)?
+    """Per row of a (8, rows, counts) _cells table at codelength n[row]: is
+    every clamped per-count bound at most exp(log_eps)?
 
-    A cell passes when its union bound does, or else when some threshold
-    the split search evaluates does (see _split_search); a row fails as
-    soon as one of its cells fails, and its other cells stop there.
+    The table's own n row is not read.  A cell passes when its union bound
+    does, or else when some threshold the split search evaluates does (see
+    _split_search); a row fails as soon as one of its cells fails, and its
+    other cells stop there.
     ``hint``, an integer array on the table's (rows, counts) shape, warm
     starts each split search at a grid point and takes its new grid argmin
     in place.
@@ -503,15 +474,14 @@ def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float,
     ok = np.ones(n.size, dtype=bool)
     if log_eps >= 0.0:    # clamped bounds never exceed 1
         return ok
-    _, room, log_comb, _, s_main, s_star, clamp_direct, clamp_main = table
-    open_ = _union_logs((n[:, None], *table[1:6]), clamp_direct) > log_eps
-    ok &= ~np.any(open_ & (room <= 0.0), axis=1)   # no room: the split bound is 1
+    open_ = _union_logs((n[:, None], *table[1:])) > log_eps
+    ok &= ~np.any(open_ & (table[1] <= 0.0), axis=1)   # no room: the split bound is 1
     rows, cols = np.nonzero(open_ & ok[:, None])
     if rows.size:
-        P = np.stack([n[rows], log_comb[rows, cols], s_main[rows, cols],
-                      clamp_main[rows, cols], s_star[rows, cols], room[rows, cols]])
+        cells = table[:, rows, cols]
+        cells[0] = n[rows]
         cell_hint = None if hint is None else hint[rows, cols]
-        _, log_split = _split_search(P, 0.0, stop=log_eps, groups=rows, hint=cell_hint)
+        _, log_split = _split_search(cells, 0.0, log_eps, rows, cell_hint)
         if hint is not None:
             hint[rows, cols] = cell_hint
         ok[rows[log_split > log_eps]] = False
@@ -538,8 +508,7 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
         raise ValueError(f"L must be an integer >= 2, got {L!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 <= alpha0 <= 1.0:
-        raise ValueError(f"alpha0 must be in [0, 1], got {alpha0}")
+    ell0 = _first_count(alpha0, L)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not (a_max > _A_FLOOR and math.isfinite(a_max)):
@@ -551,8 +520,8 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
     _check_snr(vs)
     if not np.all(rates > 0.0):
         raise ValueError(f"rate must be positive, got {rates[~(rates > 0.0)]}")
-    ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
-    table = _target_table(ells, L, vs, rates)
+    # only n depends on the section size rate: a probe fills it in
+    table = _cells(np.arange(ell0, L + 1), L, 0.0, vs[:, None], rates[:, None], 0.0)
     log_eps, log_L = math.log(epsilon), math.log(L)
     hint = np.full(table.shape[1:], _GRID_POINTS // 2)
 
@@ -619,11 +588,8 @@ def achievable_rate(v: float, L: int, a: float, epsilon: float,
 
     rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
     ns = L * math.log(B) / rates
-    # the per-count inputs are built once and broadcast over the rates
-    counts = _count_rows(np.arange(1, L + 1), L, v)
-    cells = _rate_cells(counts, ns[:, None], rates[:, None], 0.0).reshape(6, -1)
-    logs, _, _, _ = _split_cells(cells, 0.0,
-                                 clamp=np.tile(0.5 * _log1p(-counts[4]), rates.size))
+    cells = _cells(np.arange(1, L + 1), L, ns[:, None], v, rates[:, None], 0.0)
+    logs, _, _, _ = _split_cells(cells.reshape(8, -1), 0.0)
     probs = np.exp(np.minimum(logs.reshape(rates.size, L), 0.0))
     # tails[r, ell0 - 1]: the clamped tail from ell0 at rate r
     tails = np.minimum(1.0, np.cumsum(probs[:, ::-1], axis=1)[:, ::-1])[:, :ell0_max]

@@ -14,18 +14,24 @@ import json
 import math
 import sys
 
-from .bounds import BoundQuery, InfeasibleError, mistake_tail_bound, next_power_of_two
+from .bounds import (
+    BoundQuery,
+    InfeasibleError,
+    _first_count,
+    mistake_tail_bound,
+    next_power_of_two,
+)
 from .codec import generate_dictionary
 from .diagnostics import power_report
 from .geometry import ChannelSpec, CodeSpec, capacity
 from .harness import (
     ExperimentConfig,
     LN2,
-    bounds_table,
     emit_curves,
     rows_to_csv,
     run_monte_carlo,
     simulate_csv,
+    tail_table,
 )
 from .rs import Field, RSSpec, compose_decode, compose_encode
 
@@ -154,15 +160,15 @@ def _cmd_bounds(args) -> int:
     if args.L is None:
         raise ValueError("bounds needs --L")
     code = CodeSpec(L=args.L, B=_resolve_B(args), rate=_resolve_rate(args, v))
-    channel = ChannelSpec.from_snr(v)
-    t = args.t if args.t is not None else 0.0
-    header, rows = bounds_table(channel, code, t=t)
-    _emit(rows_to_csv(header, rows), args.out)
-    alpha0 = args.alpha0 if args.alpha0 is not None else 1.0 / code.L
-    ell0 = max(1, math.ceil(alpha0 * code.L - 1e-9))
-    tail = mistake_tail_bound(ell0, BoundQuery(channel=channel, code=code, t=t))
-    print(f"mistake tail from ell0={ell0}: {tail.total:.6e} (policy={tail.policy})",
-          file=sys.stderr)
+    q = BoundQuery(channel=ChannelSpec.from_snr(v), code=code,
+                   t=args.t if args.t is not None else 0.0)
+    ell0 = _first_count(args.alpha0 if args.alpha0 is not None else 1.0 / code.L,
+                        code.L)
+    # one tail from ell 1 gives the table and the tail from ell0
+    tail = mistake_tail_bound(1, q)
+    _emit(rows_to_csv(*tail_table(q, tail)), args.out)
+    print(f"mistake tail from ell0={ell0}: {tail.total_from(ell0):.6e} "
+          f"(policy={tail.policy})", file=sys.stderr)
     print(UNITS_NOTE % args.units, file=sys.stderr)
     return 0
 

@@ -82,8 +82,8 @@ class CodeSpec:
             raise ValueError(f"need at least one section, got L={self.L}")
         if self.B < 2:
             raise ValueError(f"section size must be at least 2, got B={self.B}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     @property
     def section_size_rate(self) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bounds import (
     BoundQuery,
+    TailBound,
     achievable_rate,
     min_section_size_rate_for_target,
     mistake_tail_bound,
@@ -76,8 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if any(not 1 <= e <= self.L for e in self.ell0_list):
             raise ValueError("ell0 values must lie in [1, L]")
-        if self.t < 0:
-            raise ValueError(f"threshold must be nonnegative, got {self.t}")
+        if not (self.t >= 0 and math.isfinite(self.t)):
+            raise ValueError(f"threshold must be nonnegative and finite, got {self.t}")
         # a bad channel, code or outer code fails here, not in a worker
         _ = self.channel, self.code, self.rs_spec()
 
@@ -183,8 +184,7 @@ def run_monte_carlo(config: ExperimentConfig) -> MCReport:
             futures = {i: pool.submit(_run_trial, config, i) for i in indices}
             trials = [futures[i].result() for i in indices]
 
-    # one tail bound from the smallest ell0; each ell0's total is the suffix
-    # of its per-count bounds, summed and clamped as mistake_tail_bound does
+    # one tail bound from the smallest ell0 serves every ell0
     tails = []
     if config.ell0_list:
         q = BoundQuery(channel=config.channel, code=config.code, t=config.t)
@@ -192,12 +192,11 @@ def run_monte_carlo(config: ExperimentConfig) -> MCReport:
     for ell0 in config.ell0_list:
         hits = sum(1 for tr in trials if tr.mistakes >= ell0)
         empirical = hits / config.trials
-        suffix = tail.per_ell[ell0 - tail.ell0:]
         tails.append(TailComparison(
             ell0=ell0,
             empirical=empirical,
             ci_upper=_wilson_upper(hits, config.trials),
-            analytic=min(1.0, sum(b.chosen(tail.policy) for b in suffix)),
+            analytic=tail.total_from(ell0),
         ))
 
     _, dict_ss, _, _ = _trial_streams(config.master_seed, 0)
@@ -250,11 +249,16 @@ def simulate_csv(report: MCReport) -> str:
 def bounds_table(channel: ChannelSpec, code: CodeSpec, t: float = 0.0):
     """Per-mistake-count bound table rows (full parameter echo per row)."""
     q = BoundQuery(channel=channel, code=code, t=t)
+    return tail_table(q, mistake_tail_bound(1, q))
+
+
+def tail_table(q: BoundQuery, tail: TailBound):
+    """bounds_table's header and rows, one per count of a tail bound of q."""
     header = ["v", "L", "B", "rate_bits", "t", "ell", "alpha",
               "union_bound", "split_bound", "chosen", "t_alpha_opt"]
-    rows = [[channel.snr, code.L, code.B, code.rate / LN2, t, b.ell,
+    rows = [[q.channel.snr, q.code.L, q.code.B, q.code.rate / LN2, q.t, b.ell,
              b.alpha, b.union_prob, b.split_prob, b.chosen(), b.t_alpha_opt]
-            for b in mistake_tail_bound(1, q).per_ell]
+            for b in tail.per_ell]
     return header, rows
 
 

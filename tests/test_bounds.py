@@ -13,12 +13,12 @@ from sparclab.bounds import (
     BoundQuery,
     InfeasibleError,
     _cells,
+    _grid_and_refine,
     _grid_thresholds,
-    _split_optimize,
+    _split_cells,
     _split_search,
     _split_terms,
     _target_feasible,
-    _target_table,
     _union_logs,
     achievable_rate,
     channel_dispersion,
@@ -64,8 +64,9 @@ class TestBoundQuery:
         C = capacity(15.0)
         code = CodeSpec(L=100, B=2 ** 13, rate=0.7 * C)
         ch = ChannelSpec.from_snr(15.0)
-        with pytest.raises(ValueError):
-            BoundQuery(channel=ch, code=code, t=-0.1)
+        for t in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                BoundQuery(channel=ch, code=code, t=t)
 
 
 class TestUnionBound:
@@ -126,8 +127,8 @@ class TestSplitBound:
         L, n, v, rate = 100, q.code.n_real, 15.0, q.code.rate
         for ell in (10, 30, 50, 90):
             coarse, _ = split_bound(ell, q)
-            fine_log, _, _, _ = _split_optimize([ell], L, n, v, rate, 0.0,
-                                                grid_points=2560)
+            fine_log, _, _, _ = _split_cells(_cells([ell], L, n, v, rate, 0.0), 0.0,
+                                             grid_points=2560)
             assert coarse == pytest.approx(math.exp(fine_log[0]), rel=0.01)
 
     def test_both_split_terms_worse_away_from_optimum(self):
@@ -193,6 +194,16 @@ class TestMistakeTailBound:
     def test_per_ell_covers_range(self):
         tb = mistake_tail_bound(97, fig2_query())
         assert [b.ell for b in tb.per_ell] == [97, 98, 99, 100]
+
+    @pytest.mark.parametrize("policy", ["split", "min"])
+    def test_total_from_is_the_tail_from_a_larger_ell0(self, policy):
+        q = fig2_query(t=0.01)
+        tb = mistake_tail_bound(40, q, policy=policy)
+        for ell0 in (40, 41, 77, 100):
+            assert tb.total_from(ell0) == mistake_tail_bound(ell0, q, policy).total
+        for ell0 in (39, 101):
+            with pytest.raises(ValueError, match=r"need 40 <= ell0 <= 100"):
+                tb.total_from(ell0)
 
     def test_every_bound_below_one_at_sufficient_section_size(self):
         # with a >= the finite sufficient rate, rate below capacity, and a
@@ -341,7 +352,7 @@ def grid_feasible(v: float, L: int, rate: float, alpha0: float, epsilon: float,
     cells = _cells(ells, L, a * L * math.log(L) / rate, v, rate, 0.0)
     above = _union_logs(cells) > math.log(epsilon)
     ks = np.arange(1, 257) / 257
-    for n, room, log_comb, _, s_main, s_star in cells[:, above].T:
+    for n, room, log_comb, _, s_main, s_star, _, _ in cells[:, above].T:
         if room <= 0.0:
             return False
         main, star = split_terms(room * ks, n, 0.0, log_comb, s_main, s_star, room)
@@ -409,7 +420,8 @@ class TestTargetOracle:
                 if isinstance(bracket, str) or bracket[0] is None:
                     continue
                 a = np.array(bracket)
-                table = _target_table(ells, L, np.array([v, v]), np.array([rate, rate]))
+                table = _cells(ells, L, 0.0, np.full((2, 1), v), np.full((2, 1), rate),
+                               0.0)
                 got = _target_feasible(table, a * L * math.log(L) / rate, math.log(eps))
                 want = [target_feasible(v, L, rate, alpha0, eps, x) for x in bracket]
                 assert got.tolist() == want == [False, True], (v, L, rate, alpha0, eps)
@@ -424,7 +436,7 @@ class TestTargetOracle:
         for L, alpha0, eps, _, vs, rates in target_box(seed=7):
             ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
             v, rate = np.array(vs), np.array(rates)
-            table = _target_table(ells, L, v, rate)
+            table = _cells(ells, L, 0.0, v[:, None], rate[:, None], 0.0)
             for a in 10.0 ** rng.uniform(-6.0, 2.0, (3, v.size)):
                 got = _target_feasible(table, a * L * math.log(L) / rate,
                                        math.log(eps)).tolist()
@@ -455,10 +467,12 @@ class TestBracketLowerBound:
         m = 6000
         t = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.0, 0.2, m))
         s_main, s_star = spread_mix(rng, m), spread_mix(rng, m)
-        P = np.stack([10.0 ** rng.uniform(0.0, 5.0, m), rng.uniform(0.0, 60.0, m),
-                      s_main, 0.5 * _log1p(-s_main), s_star,
-                      10.0 ** rng.uniform(-6.0, 1.5, m)])
-        room = P[5]
+        n, log_comb = 10.0 ** rng.uniform(0.0, 5.0, m), rng.uniform(0.0, 60.0, m)
+        room = 10.0 ** rng.uniform(-6.0, 1.5, m)
+        # a _cells table; the split terms read neither direct-spread row
+        unread = np.full(m, np.nan)
+        cells = np.stack([n, room, log_comb, unread, s_main, s_star, unread,
+                          0.5 * _log1p(-s_main)])
         # the capped main exponent clamps (tilt >= 1) once its gap
         # room - (x - t) reaches s/(1 - s): center half the brackets there
         knee = t + room - s_main / (1.0 - s_main)
@@ -470,8 +484,8 @@ class TestBracketLowerBound:
         half = room * 10.0 ** rng.uniform(-13.0, 0.0, m)
         a, b = np.maximum(center - half, ends[0]), np.minimum(center + half, ends[1])
         xs = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 65)
-        vals = np.logaddexp(*_split_terms(xs, t[:, None], *P[:, :, None]))
-        main, star = _split_terms(np.stack([a, b]), t, *P)
+        vals = np.logaddexp(*_split_terms(xs, t[:, None], cells[:, :, None]))
+        main, star = _split_terms(np.stack([a, b]), t, cells)
         bound = np.logaddexp(main[0], star[1])
         slack = _BRACKET_MARGIN * (1.0 + np.abs(vals))
         assert np.all(bound[:, None] <= vals + slack)
@@ -486,14 +500,13 @@ class TestBracketLowerBound:
         checked = 0
         for L, v, t, ells, ns, rates in oracle_box(seed=8, groups=12, per_group=20):
             cells = _cells(ells, L, ns, v, rates, t)
-            n, room, log_comb, _, s_main, s_star = cells[:, cells[1] > 0.0]
-            P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
-            _, full = _split_search(P, t)
+            cells = cells[:, cells[1] > 0.0]
+            _, full, _ = _grid_and_refine(cells, t, 256)
             for i, value in enumerate(full.tolist()):
                 for stop in (value, np.nextafter(value, -np.inf)):
-                    _, got = _split_search(P[:, i:i + 1], t, stop=stop,
+                    _, got = _split_search(cells[:, i:i + 1], t, stop=stop,
                                            groups=np.zeros(1, dtype=np.int64))
-                    assert (got[0] <= stop) == (value <= stop), (L, v, t, P[:, i])
+                    assert (got[0] <= stop) == (value <= stop), (L, v, t, cells[:, i])
                 checked += 1
         assert checked >= 150
 
@@ -529,24 +542,22 @@ class TestWarmProbes:
         tallies = {"warm": 0, "search": 0, True: 0, False: 0}
         search = bounds._split_search
 
-        def spy(P, t, grid_points=256, stop=None, groups=None, hint=None):
-            if hint is None:    # the oracle's full searches
-                return search(P, t, grid_points, stop, groups, hint)
+        def spy(cells, t, stop, groups, hint):
             before = hint.copy()
-            x, f = search(P, t, grid_points, stop, groups, hint)
+            x, f = search(cells, t, stop, groups, hint)
             # a pass at the hinted point has that point's bits (see _grid_thresholds)
-            warm = (f <= stop) & (x == _grid_thresholds(t, P[5], before + 1.0, grid_points))
+            warm = (f <= stop) & (x == _grid_thresholds(t, cells[1], before + 1.0, 256))
             hinted.update(before.tolist())
             warm_points.update(before[warm].tolist())
             tallies["warm"] += int(warm.sum())
-            tallies["search"] += P.shape[1]
+            tallies["search"] += cells.shape[1]
             return x, f
 
         monkeypatch.setattr(bounds, "_split_search", spy)
         for L, alpha0, eps, a_max, vs, rates in target_box(seed=9):
             ells = np.arange(max(1, math.ceil(alpha0 * L - 1e-9)), L + 1)
             v, rate = np.array(vs), np.array(rates)
-            table = _target_table(ells, L, v, rate)
+            table = _cells(ells, L, 0.0, v[:, None], rate[:, None], 0.0)
             hint = rng.choice([0, 255, 128, int(rng.integers(1, 255))],
                               size=table.shape[1:])
             edge = [outcome(min_section_size_rate_for_target, x, L, r, alpha0, eps, a_max)
@@ -575,14 +586,13 @@ class TestWarmProbes:
         checked = 0
         for L, v, t, ells, ns, rates in oracle_box(seed=8, groups=6, per_group=20):
             cells = _cells(ells, L, ns, v, rates, t)
-            n, room, log_comb, _, s_main, s_star = cells[:, cells[1] > 0.0]
-            P = np.stack([n, log_comb, s_main, 0.5 * _log1p(-s_main), s_star, room])
-            xs = _grid_thresholds(t, room[:, None], np.arange(1.0, 257.0), 256)
-            grid = np.logaddexp(*_split_terms(xs, t, *P[:, :, None]))
-            for i in range(room.size):
+            cells = cells[:, cells[1] > 0.0]
+            xs = _grid_thresholds(t, cells[1, :, None], np.arange(1.0, 257.0), 256)
+            grid = np.logaddexp(*_split_terms(xs, t, cells[:, :, None]))
+            for i in range(cells.shape[1]):
                 for h in (0, 255, int(rng.integers(1, 255))):
                     hint = np.array([h])
-                    x, f = _split_search(P[:, i:i + 1], t, stop=grid[i, h],
+                    x, f = _split_search(cells[:, i:i + 1], t, stop=grid[i, h],
                                          groups=np.zeros(1, dtype=np.int64), hint=hint)
                     assert (x[0], f[0], hint[0]) == (xs[i, h], grid[i, h], h)
                     checked += 1
@@ -597,13 +607,13 @@ class TestWarmProbes:
             probes.append([0, 0])
             return feasible(*args)
 
-        def searched(P, *args, **kwargs):
-            probes[-1][0] += P.shape[1]
-            return search(P, *args, **kwargs)
+        def searched(cells, *args):
+            probes[-1][0] += cells.shape[1]
+            return search(cells, *args)
 
-        def gridded(P, *args):
-            probes[-1][1] += P.shape[1]
-            return grid(P, *args)
+        def gridded(cells, *args):
+            probes[-1][1] += cells.shape[1]
+            return grid(cells, *args)
 
         monkeypatch.setattr(bounds, "_target_feasible", probe)
         monkeypatch.setattr(bounds, "_split_search", searched)
@@ -753,7 +763,7 @@ class TestSplitOptimizeOracle:
     def test_bit_identical_on_seeded_box(self):
         cells = full = no_room = 0
         for L, v, t, ells, ns, rates in oracle_box():
-            got = _split_optimize(ells, L, ns, v, rates, t)
+            got = _split_cells(_cells(ells, L, ns, v, rates, t), t)
             for i, (ell, n, rate) in enumerate(zip(ells, ns, rates)):
                 want = split_eval(ell, L, n, v, rate, t)
                 assert tuple(x[i] for x in got) == want, (ell, L, n, v, rate, t)
@@ -767,14 +777,15 @@ class TestSplitOptimizeOracle:
         q = fig2_query(t=0.01)
         L, n, v, rate, t = 100, q.code.n_real, 15.0, q.code.rate, 0.01
         for grid_points in (1, 2, 7, 256):
-            got = _split_optimize(range(1, L + 1), L, n, v, rate, t, grid_points)
+            got = _split_cells(_cells(range(1, L + 1), L, n, v, rate, t), t, grid_points)
             for ell in range(1, L + 1):
                 assert tuple(x[ell - 1] for x in got) == split_eval(
                     ell, L, n, v, rate, t, grid_points)
 
     def test_empty_and_all_without_room(self):
-        assert all(x.size == 0 for x in _split_optimize([], 5, 10.0, 15.0, 1.0, 0.0))
-        got = _split_optimize([1, 5], 5, 10.0, 15.0, 10.0, 0.0)
+        assert all(x.size == 0 for x in _split_cells(_cells([], 5, 10.0, 15.0, 1.0, 0.0),
+                                                     0.0))
+        got = _split_cells(_cells([1, 5], 5, 10.0, 15.0, 10.0, 0.0), 0.0)
         assert [x.tolist() for x in got] == [[0.0, 0.0], [0.0, 0.0],
                                              [0.0, 0.0], [0.0, 0.0]]
 
@@ -792,8 +803,8 @@ class TestSplitOptimizeProperties:
         ell = data.draw(st.integers(1, L))
         v = 10.0 ** log_v
         n = 10.0 ** log_n
-        logs, _, _, _ = _split_optimize([ell, ell], L, [n, n * growth], v,
-                                        fraction * capacity(v), t)
+        logs, _, _, _ = _split_cells(_cells([ell, ell], L, [n, n * growth], v,
+                                            fraction * capacity(v), t), t)
         short, long = (min(1.0, math.exp(min(0.0, x))) for x in logs.tolist())
         assert 0.0 <= long <= 1.0 and 0.0 <= short <= 1.0
         # the grid does not depend on n, so only the refinement's last bits
@@ -802,7 +813,8 @@ class TestSplitOptimizeProperties:
 
 
 class TestUnionLogsOracle:
-    """The union-bound table matches the per-cell scalar bound.
+    """The union-bound table matches the per-cell scalar bound, and its clamp
+    rows have math's bits.
 
     The exponent's interior branch takes numpy's log1p, which can differ
     from math's in the last bit; every other step has the scalar bits.
@@ -813,6 +825,10 @@ class TestUnionLogsOracle:
         for L, v, t, ells, ns, rates in oracle_box(seed=3780, log_v=(-3.0, 8.0)):
             table = _cells(ells, L, ns, v, rates, t)
             got = _union_logs(table).tolist()
+            # the clamp offsets of the direct and refined spreads, math's bits
+            for clamp, spread in ((6, 3), (7, 4)):
+                assert table[clamp].tolist() == [0.5 * math.log1p(-s)
+                                                 for s in table[spread].tolist()]
             for i, (ell, n, rate) in enumerate(zip(ells, ns, rates)):
                 want = union_log(ell, L, n, v, rate, t)
                 if table[1, i] <= 0.0:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sparclab import bounds
 from sparclab.cli import _build_parsers, load_config, main
 from sparclab.geometry import capacity
 
@@ -133,6 +134,21 @@ class TestOtherCommands:
         assert len(lines) == 11
         assert "mistake tail" in capsys.readouterr().err
 
+    def test_readme_bounds_command_bounds_each_count_once(self, monkeypatch, capsys):
+        # the table and the tail from ell0 = 10 come from one tail bound
+        calls = []
+        inner = bounds._section_bounds
+
+        def counted(ells, q):
+            calls.append(list(ells))
+            return inner(ells, q)
+
+        monkeypatch.setattr(bounds, "_section_bounds", counted)
+        assert run_cli(["bounds", "--snr", "15", "--L", "100", "--B", "8192",
+                        "--rate-fraction", "0.7", "--alpha0", "0.1"]) == 0
+        assert calls == [list(range(1, 101))]
+        assert "mistake tail from ell0=10: " in capsys.readouterr().err
+
     def test_curves_ppv_stdout(self, capsys):
         rc = run_cli(["curves", "--kind", "ppv", "--snr", "20",
                       "--epsilon", "1e-3", "--n-list", "100,500"])
@@ -253,6 +269,33 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: sparclab {argv[0]}")
         assert err.endswith(f"sparclab {argv[0]}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bounds", "--alpha0", "1.5"], "alpha0 must be in [0, 1], got 1.5"),
+        (["bounds", "--alpha0", "nan"], "alpha0 must be in [0, 1], got nan"),
+        (["bounds", "--alpha0", "-3"], "alpha0 must be in [0, 1], got -3.0"),
+        (["bounds", "--rate-fraction", "nan"], "rate must be positive and finite"),
+        (["bounds", "--t", "nan"], "threshold must be nonnegative and finite"),
+        (["bounds", "--t", "inf"], "threshold must be nonnegative and finite"),
+        (["curves", "--kind", "fig2", "--t", "nan"],
+         "threshold must be nonnegative and finite"),
+        (["simulate", "--t", "nan"], "threshold must be nonnegative and finite"),
+    ])
+    def test_bad_value_fails_before_any_output(self, argv, message, tmp_path,
+                                               capsys):
+        code = ["--snr", "15", "--L", "4", "--B", "16", "--rate-fraction", "0.5"]
+        if argv[0] == "curves":
+            code = []
+        out = tmp_path / "out.csv"
+        for extra in ([], ["--out", str(out)]):
+            with pytest.raises(SystemExit) as exc:
+                # later flags win, so argv's value replaces the code's
+                run_cli([argv[0], *code, *argv[1:], *extra])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"sparclab {argv[0]}: error: {message}" in captured.err
+        assert not out.exists()
 
     def test_infeasible_target_is_one_line_exit_1(self, capsys):
         rc = run_cli(["curves", "--kind", "fig3", "--snr-list", "2,0.0001"])

@@ -76,6 +76,11 @@ class TestCodeSpec:
         with pytest.raises(ValueError):
             _ = code.input_bits
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            CodeSpec(L=2, B=4, rate=rate)
+
     def test_candidate_count(self):
         assert CodeSpec(L=2, B=4, rate=1.0).candidate_count() == 16
         assert CodeSpec(L=2, B=4, rate=1.0, signed=True).candidate_count() == 64

@@ -49,8 +49,9 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             mini_config(L=L, B=B, rs_distance=3, ell0_list=(1,))
 
-    @pytest.mark.parametrize("bad", [{"snr": -1.0}, {"t": -0.5}, {"rate": 0.0},
-                                     {"B": 1}])
+    @pytest.mark.parametrize("bad", [{"snr": -1.0}, {"t": -0.5}, {"t": math.nan},
+                                     {"t": math.inf}, {"rate": 0.0},
+                                     {"rate": math.nan}, {"B": 1}])
     def test_bad_parameter_rejected_at_construction(self, bad):
         # a bad parameter must fail before any trial runs, not inside a
         # worker thread or after the trials
