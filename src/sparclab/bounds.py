@@ -166,7 +166,8 @@ def _split_terms(t_alpha, t, cells):
 
 
 _GRID_POINTS = 256  # grid-stage points per cell of the split optimizer
-_GRID_CHUNK = 16    # cells per grid-stage pass; bounds the (cells, grid) temporaries
+_GRID_CHUNK = 128   # cells per grid-stage pass; bounds the (cells, grid) temporaries
+_GRID_BLOCK = 16    # grid points per block the grid stage may skip (see _grid_and_refine)
 _BRACKET_MARGIN = 1e-9  # relative slack of the bracket lower bound (see _split_search)
 
 
@@ -275,26 +276,47 @@ def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
     (t_alpha, log_total, j): per cell, the best threshold evaluated, its
     value and the index of its grid minimum.  With ``stop``, the cells the
     grid settles at or below it skip the refinement.
+
+    The grid stage splits the grid into blocks of _GRID_BLOCK points and
+    evaluates each cell at both ends of every block first.  By the
+    monotone terms of _split_search's bracket lower bound, every point of
+    a block is worth at least logaddexp(main(first), star(last)); where
+    that clears the best end value by _fail_above's margin, no point
+    inside the block can reach that value, let alone tie the minimum, so
+    the block's inside is left unevaluated.  The argmin, its first-index
+    ties and the bits of every returned value are those of the full grid.
     """
     room = cells[1]
     m = room.size
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
+    first = np.arange(0, grid_points, _GRID_BLOCK)
+    last = np.minimum(first + _GRID_BLOCK - 1, grid_points - 1)
+    # (first, last) per block; a point evaluated twice gets the same bits twice
+    ends = np.stack([first, last], axis=1).ravel()
+    # each block's inside; a block shorter than _GRID_BLOCK repeats its last point
+    inside = np.minimum(first[:, None] + np.arange(1, _GRID_BLOCK - 1), last[:, None])
     j_min = np.empty(m, dtype=np.int64)
     lo, hi, x_grid, f_grid = (np.empty(m) for _ in range(4))
     for start in range(0, m, _GRID_CHUNK):
-        block = slice(start, start + _GRID_CHUNK)
-        r = room[block, None]
-        xs = _grid_thresholds(t, r, ks, grid_points)
-        tot = np.logaddexp(*_split_terms(xs, t, cells[:, block, None]))
+        part = slice(start, start + _GRID_CHUNK)
+        r = room[part, None]
+        chunk = cells[:, part, None]
+        tot = np.full((r.size, grid_points), np.inf)
+        main, star = _split_terms(_grid_thresholds(t, r, ks[ends], grid_points), t, chunk)
+        tot[:, ends] = end_values = np.logaddexp(main, star)
+        floor = np.logaddexp(main[:, 0::2], star[:, 1::2])
+        rows, blocks = np.nonzero(~(floor > _fail_above(end_values.min(axis=1))[:, None]))
+        pts = inside[blocks]
+        tot[rows[:, None], pts] = np.logaddexp(*_split_terms(
+            _grid_thresholds(t, r[rows], ks[pts], grid_points), t, chunk[:, rows]))
         j = np.argmin(tot, axis=1)
-        k = np.arange(j.size)
-        j_min[block] = j
-        x_grid[block] = xs[k, j]
-        f_grid[block] = tot[k, j]
-        lo[block] = np.where(j > 0, xs[k, j - 1], t + 1e-12 * r[:, 0])
-        hi[block] = np.where(j < grid_points - 1,
-                             xs[k, np.minimum(j + 1, grid_points - 1)],
-                             t + r[:, 0] * (1.0 - 1e-12))
+        j_min[part] = j
+        f_grid[part] = tot[np.arange(j.size), j]
+        x_grid[part], x_lo, x_hi = _grid_thresholds(
+            t, r[:, 0], ks[[j, np.maximum(j - 1, 0), np.minimum(j + 1, grid_points - 1)]],
+            grid_points)
+        lo[part] = np.where(j > 0, x_lo, t + 1e-12 * r[:, 0])
+        hi[part] = np.where(j < grid_points - 1, x_hi, t + r[:, 0] * (1.0 - 1e-12))
 
     if stop is None:
         c, d, fc, fd = _refine(cells, t, lo, hi)
@@ -566,48 +588,129 @@ class AchievableRate:
     n_real: float
 
 
-def achievable_rate(v: float, L: int, a: float, epsilon: float,
-                    rate_points: int = 200) -> AchievableRate:
+_RATE_BLOCK = 16    # rates per section count per round of achievable_rate
+
+
+def _rates_may_pass(blocks, stop: float) -> list:
+    """Per (8, rates, counts) slice of a _cells table, a mask of the rates
+    whose optimized split bound may be at or below ``stop`` at every count.
+
+    One decision _split_search covers every slice, one group per rate: a
+    rate is masked out once one of its counts has no room (its split bound
+    is 1) or ends its search above ``stop``.
+    """
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks])
+    cells = np.concatenate([b.reshape(8, -1) for b in blocks], axis=1)
+    groups = np.concatenate([np.repeat(np.arange(s, s + b.shape[1]), b.shape[2])
+                             for s, b in zip(starts, blocks)])
+    failed = np.zeros(starts[-1], dtype=bool)
+    failed[groups[cells[1] <= 0.0]] = True
+    search = np.flatnonzero(~failed[groups])
+    if search.size:
+        _, f = _split_search(cells[:, search], 0.0, stop, groups[search])
+        failed[groups[search[f > stop]]] = True
+    return np.split(~failed, starts[1:-1])
+
+
+def achievable_rate(v: float, L, a: float, epsilon: float, rate_points: int = 200):
     """Maximize the composite rate (1 - 2 alpha0) R subject to the tail bound.
 
-    The section size is B = ceil(L^a) rounded up to a power of two.  The
-    declared search grid is rate_points interior points of (0.3 C, C) for
-    the inner rate and integer multiples of 1/L up to ALPHA0_CAP for the
-    outer mistake-fraction budget; the split-policy mistake-tail bound at
-    ell0 = alpha0 L must stay at or below epsilon.  Each rate takes its
-    smallest such alpha0, and ties in the composite rate go to the lowest
-    inner rate.  Returns a zero rate when no grid point is feasible.
+    Elementwise over L: an integer gives one AchievableRate, a sequence a
+    tuple of them.  The section size is B = ceil(L^a) rounded up to a
+    power of two.  The declared search grid is rate_points interior points
+    of (0.3 C, C) for the inner rate and integer multiples of 1/L up to
+    ALPHA0_CAP for the outer mistake-fraction budget; the split-policy
+    mistake-tail bound at ell0 = alpha0 L must stay at or below epsilon.
+    Each rate takes its smallest such alpha0, and ties in the composite
+    rate go to the lowest inner rate.  Returns a zero rate when no grid
+    point is feasible, as always for L <= 2.  Each L must be an integer of
+    at least 1.
+
+    The search visits the rates from the top, _RATE_BLOCK per L per round,
+    every L in lockstep on its one cell table, and optimizes fully only the
+    rates that could still win.  Neither cut changes a result:
+    - the prune: alpha0 >= 1/L, so (1 - 2/L) R bounds a rate's composite
+      rate from above, in floats too (each step is monotone and alpha0 =
+      1/L gives the same bits).  A rate whose bound is below the best
+      composite rate r* found so far cannot win or tie, and neither can
+      any lower rate.  A bound of zero or less (L <= 2) rules out a
+      positive composite rate;
+    - the screen: a feasible rate has every per-count bound from ell0_max
+      = max(1, floor(ALPHA0_CAP L)) at most its tail, so at most epsilon.
+      One decision _split_search, stopping a margin above ln(epsilon),
+      rejects a rate only when some count's optimized split bound exceeds
+      that level, and so exceeds epsilon.
+    A rate that passes both is optimized at every count, and its tails,
+    alpha0 and composite rate come from those values as in a full search:
+    the optimizer is elementwise per cell.  A rate cut off has a composite
+    rate below r* or of zero, so the argmax and its tie-break are those of
+    the full grid.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if rate_points < 1:
         raise ValueError(f"need at least one rate point, got {rate_points}")
-    B = next_power_of_two(math.ceil(L ** a))
+    scalar = np.ndim(L) == 0
+    Ls = [L] if scalar else list(L)
+    for x in Ls:
+        if not (isinstance(x, (int, np.integer)) and x >= 1):
+            raise ValueError(f"L must be an integer >= 1, got {x!r}")
     C = capacity(v)
-    ell0_max = max(1, math.floor(ALPHA0_CAP * L))
-
     rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
-    ns = L * math.log(B) / rates
-    cells = _cells(np.arange(1, L + 1), L, ns[:, None], v, rates[:, None], 0.0)
-    logs, _, _, _ = _split_cells(cells.reshape(8, -1), 0.0)
-    probs = np.exp(np.minimum(logs.reshape(rates.size, L), 0.0))
-    # tails[r, ell0 - 1]: the clamped tail from ell0 at rate r
-    tails = np.minimum(1.0, np.cumsum(probs[:, ::-1], axis=1)[:, ::-1])[:, :ell0_max]
-    met = tails <= epsilon
-    first = met.argmax(axis=1)               # ell0 - 1 of the first tail met
-    alpha0 = (first + 1) / L
-    r_comp = np.where(met.any(axis=1), (1.0 - 2.0 * alpha0) * rates, 0.0)
-    i = int(np.argmax(r_comp))
-    if r_comp[i] <= 0.0:
-        return AchievableRate(0.0, 0.0, 0.0, 1.0, B, math.inf)
-    return AchievableRate(float(r_comp[i]), float(rates[i]), float(alpha0[i]),
-                          float(tails[i, first[i]]), B, float(ns[i]))
+    stop = _fail_above(math.log(epsilon))
+    Bs = [next_power_of_two(math.ceil(x ** a)) for x in Ls]
+    ns = [x * math.log(B) / rates for x, B in zip(Ls, Bs)]
+    tables = [_cells(np.arange(1, x + 1), x, n[:, None], v, rates[:, None], 0.0)
+              for x, n in zip(Ls, ns)]
+    ell0_max = [max(1, math.floor(ALPHA0_CAP * x)) for x in Ls]
+    uppers = [(1.0 - 2.0 * (1 / x)) * rates for x in Ls]
+    # per L and rate: composite rate, alpha0 and the tail at alpha0 L
+    r_comp, alpha0, tail = np.zeros((3, len(Ls), rate_points))
+    top = [rate_points] * len(Ls)          # rates at top[k] and up are visited
+    live = list(range(len(Ls)))
+    while live:
+        picks = []
+        for k in list(live):
+            idx = np.arange(top[k] - 1, max(top[k] - _RATE_BLOCK, 0) - 1, -1)
+            keep = (uppers[k][idx] > 0.0) & ~(uppers[k][idx] < r_comp[k].max())
+            top[k] = idx[-1]
+            if not (keep.all() and top[k]):
+                live.remove(k)
+            picks.append((k, idx[keep]))
+        passed = _rates_may_pass([tables[k][:, idx, ell0_max[k] - 1:]
+                                  for k, idx in picks], stop)
+        picks = [(k, idx[ok]) for (k, idx), ok in zip(picks, passed) if ok.any()]
+        if not picks:
+            continue
+        full = [tables[k][:, idx].reshape(8, -1) for k, idx in picks]
+        logs, _, _, _ = _split_cells(np.concatenate(full, axis=1), 0.0)
+        for (k, idx), logs_k in zip(picks, np.split(logs, np.cumsum(
+                [c.shape[1] for c in full])[:-1])):
+            x = Ls[k]
+            probs = np.exp(np.minimum(logs_k.reshape(idx.size, x), 0.0))
+            # tails[r, ell0 - 1]: the clamped tail from ell0 at rate r
+            tails = np.minimum(1.0, np.cumsum(probs[:, ::-1], axis=1)[:, ::-1])[:, :ell0_max[k]]
+            met = tails <= epsilon
+            first = met.argmax(axis=1)               # ell0 - 1 of the first tail met
+            alpha0[k, idx] = (first + 1) / x
+            r_comp[k, idx] = np.where(met.any(axis=1),
+                                      (1.0 - 2.0 * alpha0[k, idx]) * rates[idx], 0.0)
+            tail[k, idx] = tails[np.arange(idx.size), first]
+    out = []
+    for k, B in enumerate(Bs):
+        i = int(np.argmax(r_comp[k]))
+        if r_comp[k, i] <= 0.0:
+            out.append(AchievableRate(0.0, 0.0, 0.0, 1.0, B, math.inf))
+        else:
+            out.append(AchievableRate(float(r_comp[k, i]), float(rates[i]),
+                                      float(alpha0[k, i]), float(tail[k, i]), B,
+                                      float(ns[k][i])))
+    return out[0] if scalar else tuple(out)
 
 
 def channel_dispersion(v: float) -> float:
     """Dispersion (v/2)(v+2)/(v+1)^2 in nats^2 per channel use."""
-    if v <= 0:
-        raise ValueError(f"snr must be positive, got {v}")
+    _check_snr(v)
     return 0.5 * v * (v + 2.0) / (v + 1.0) ** 2
 
 

@@ -219,8 +219,8 @@ def statistic_cgf(lam: float, alpha: float, v: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if v <= 0:
-        raise ValueError(f"snr must be positive, got {v}")
+    if not 0 < v < math.inf:
+        raise ValueError(f"snr must be positive and finite, got {v}")
     if lam < 0:
         raise ValueError(f"tilt must be nonnegative, got {lam}")
     s = alpha * v / (1.0 + alpha * v)

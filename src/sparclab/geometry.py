@@ -36,11 +36,11 @@ def _check_alpha(alpha) -> None:
 
 
 def _check_snr(v) -> None:
-    """ValueError naming the elements of v that are not positive."""
-    ok = v > 0
+    """ValueError naming the elements of v that are not positive and finite."""
+    ok = (v > 0) & (v < math.inf)
     if not np.all(ok):
         bad = np.asarray(v)[~ok] if np.ndim(v) else v
-        raise ValueError(f"snr must be positive, got {bad}")
+        raise ValueError(f"snr must be positive and finite, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class ChannelSpec:
     sigma2: float
 
     def __post_init__(self):
-        if self.P <= 0 or self.sigma2 <= 0:
-            raise ValueError("signal power and noise variance must be positive")
+        if not (0 < self.P < math.inf and 0 < self.sigma2 < math.inf):
+            raise ValueError("signal power and noise variance must be positive and finite")
 
     @classmethod
     def from_snr(cls, v: float) -> "ChannelSpec":

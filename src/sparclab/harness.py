@@ -270,8 +270,8 @@ def fig1_rows(v: float = 20.0, epsilon: float = 1e-4,
     header = ["v", "L", "B", "a", "n", "R_inner_bits", "alpha0",
               "R_comp_bits", "ppv_bits", "tail_bound"]
     rows = []
-    for L in sorted(L_values):
-        ar = achievable_rate(v, L, a, epsilon, rate_points=rate_points)
+    Ls = sorted(L_values)
+    for L, ar in zip(Ls, achievable_rate(v, Ls, a, epsilon, rate_points=rate_points)):
         if ar.R_inner > 0:
             n = ar.n_real
             ppv = normal_approximation_rate(v, n, epsilon) / LN2

@@ -10,10 +10,12 @@ last bits of log1p), the per-cell split-bound optimizer
 bit), the per-cell scalar union bound (the array table must match it to
 the last bits of log1p), the one-row bisection for the target section
 size rate, whose probes run the full split optimization (the lockstep
-bisection and its yes/no probes must match it exactly), the scalar Acklam quantile (``normal_quantile``
-must match it bit for bit) and the prefix/suffix-table exhaustive decoder
-(the meet-in-the-middle ``sparclab.codec.decode_exhaustive`` must pick the
-same coefficients).  Production code never imports this module.
+bisection and its yes/no probes must match it exactly), the full-grid
+achievable-rate search (the pruned lockstep ``achievable_rate`` must
+return the same record, repr for repr), the scalar Acklam quantile
+(``normal_quantile`` must match it bit for bit) and the prefix/suffix-table
+exhaustive decoder (the meet-in-the-middle
+``sparclab.codec.decode_exhaustive`` must pick the same coefficients).  Production code never imports this module.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparclab.bounds import InfeasibleError, _cells, _split_cells, _union_logs
+from sparclab.bounds import (
+    ALPHA0_CAP,
+    AchievableRate,
+    InfeasibleError,
+    _cells,
+    _split_cells,
+    _union_logs,
+    next_power_of_two,
+)
 from sparclab.codec import (
     _SUFFIX_BLOCK_TARGET,
     DEFAULT_ENUMERATION_CAP,
@@ -36,6 +46,7 @@ from sparclab.codec import (
 )
 from sparclab.geometry import (
     CodeSpec,
+    capacity,
     combinatorial_rate,
     log_binomial,
     partial_capacity,
@@ -418,6 +429,44 @@ def min_section_size_rate_bracket(v: float, L: int, rate: float, alpha0: float,
         else:
             lo = mid
     return lo, hi
+
+
+def achievable_rate(v: float, L: int, a: float, epsilon: float,
+                    rate_points: int = 200) -> AchievableRate:
+    """Maximize the composite rate (1 - 2 alpha0) R subject to the tail bound.
+
+    The section size is B = ceil(L^a) rounded up to a power of two.  The
+    declared search grid is rate_points interior points of (0.3 C, C) for
+    the inner rate and integer multiples of 1/L up to ALPHA0_CAP for the
+    outer mistake-fraction budget; the split-policy mistake-tail bound at
+    ell0 = alpha0 L must stay at or below epsilon.  Each rate takes its
+    smallest such alpha0, and ties in the composite rate go to the lowest
+    inner rate.  Returns a zero rate when no grid point is feasible.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if rate_points < 1:
+        raise ValueError(f"need at least one rate point, got {rate_points}")
+    B = next_power_of_two(math.ceil(L ** a))
+    C = capacity(v)
+    ell0_max = max(1, math.floor(ALPHA0_CAP * L))
+
+    rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
+    ns = L * math.log(B) / rates
+    cells = _cells(np.arange(1, L + 1), L, ns[:, None], v, rates[:, None], 0.0)
+    logs, _, _, _ = _split_cells(cells.reshape(8, -1), 0.0)
+    probs = np.exp(np.minimum(logs.reshape(rates.size, L), 0.0))
+    # tails[r, ell0 - 1]: the clamped tail from ell0 at rate r
+    tails = np.minimum(1.0, np.cumsum(probs[:, ::-1], axis=1)[:, ::-1])[:, :ell0_max]
+    met = tails <= epsilon
+    first = met.argmax(axis=1)               # ell0 - 1 of the first tail met
+    alpha0 = (first + 1) / L
+    r_comp = np.where(met.any(axis=1), (1.0 - 2.0 * alpha0) * rates, 0.0)
+    i = int(np.argmax(r_comp))
+    if r_comp[i] <= 0.0:
+        return AchievableRate(0.0, 0.0, 0.0, 1.0, B, math.inf)
+    return AchievableRate(float(r_comp[i]), float(rates[i]), float(alpha0[i]),
+                          float(tails[i, first[i]]), B, float(ns[i]))
 
 
 def nearest_codewords(spec: RSSpec):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparclab import bounds
 from sparclab.bounds import (
     _BRACKET_MARGIN,
+    ALPHA0_CAP,
     BoundQuery,
     InfeasibleError,
     _cells,
@@ -41,8 +42,9 @@ from sparclab.geometry import (
     spread_direct,
     spread_refined,
 )
-from sparclab.harness import fig3_rows
+from sparclab.harness import fig1_rows, fig3_rows
 
+from oracles import achievable_rate as achievable_rate_full
 from oracles import (
     min_section_size_rate_bracket,
     q_inverse_bisect,
@@ -304,7 +306,7 @@ class TestMinSectionSizeRate:
         with pytest.raises(ValueError) as info:
             min_section_size_rate_for_target(np.array([2.0, -1.0, 15.0]), 16, 1.0,
                                              0.125, 1e-3)
-        assert str(info.value) == "snr must be positive, got [-1.]"
+        assert str(info.value) == "snr must be positive and finite, got [-1.]"
 
 
 def target_box(seed: int = 6, groups: int = 14):
@@ -710,6 +712,116 @@ class TestAchievableRate:
         assert all(v < capacity(20.0) for v in vals)
 
 
+def rate_box(seed: int = 14, groups: int = 24):
+    """Seeded (v, Ls, a, epsilon, rate_points) for the achievable-rate
+    differential test: v log-uniform on [2, 100], three section counts from
+    1 to 40 (L <= 2 can reach no positive composite rate), a uniform on
+    (1.5, 4), epsilon log-uniform on [1e-8, 0.5] and rate_points from 1 to
+    40, across the 16-rate blocks of the lockstep search.  Then a one-point
+    grid that both section counts meet."""
+    rng = np.random.default_rng(seed)
+    for _ in range(groups):
+        v = float(10.0 ** rng.uniform(0.3, 2.0))
+        Ls = [int(x) for x in rng.choice([1, 2, 3, 4, 5, 6, 8, 12, 16, 20, 24, 32, 40], 3)]
+        a = float(rng.uniform(1.5, 4.0))
+        eps = float(10.0 ** rng.uniform(-8.0, -0.3))
+        yield v, Ls, a, eps, int(rng.choice([1, 2, 5, 16, 17, 33, 40]))
+    yield 20.0, [20, 40], 3.0, 1e-3, 1
+
+
+def composite_rates(v: float, L: int, a: float, epsilon: float, rate_points: int):
+    """Per grid rate, the composite rate of the full search (see
+    oracles.achievable_rate), and the grid."""
+    C = capacity(v)
+    rates = np.linspace(0.3 * C, C, rate_points + 2)[1:-1]
+    ns = L * math.log(next_power_of_two(math.ceil(L ** a))) / rates
+    cells = _cells(np.arange(1, L + 1), L, ns[:, None], v, rates[:, None], 0.0)
+    probs = np.exp(np.minimum(_split_cells(cells.reshape(8, -1), 0.0)[0], 0.0))
+    tails = np.cumsum(probs.reshape(rates.size, L)[:, ::-1], axis=1)[:, ::-1]
+    met = tails[:, :max(1, math.floor(ALPHA0_CAP * L))] <= epsilon
+    alpha0 = (met.argmax(axis=1) + 1) / L
+    return np.where(met.any(axis=1), (1.0 - 2.0 * alpha0) * rates, 0.0), rates
+
+
+class TestAchievableRateOracle:
+    """The pruned lockstep search returns the full-grid search's record,
+    repr for repr."""
+
+    # two rates in different 16-rate blocks tie: rates[5] at alpha0 = 2/12
+    # and rates[2] at 1/12, whose upper bound (1 - 2/L) R is that tie
+    TIE = (1.5, 12, 6.13, 0.11997095706979419, 20)
+
+    def test_matches_full_search_on_seeded_box(self):
+        counts = dict.fromkeys(("zero", "cap", "positive", "one_point"), 0)
+        for v, Ls, a, eps, rate_points in rate_box():
+            got = achievable_rate(v, Ls, a, eps, rate_points)
+            assert isinstance(got, tuple) and len(got) == len(Ls)
+            for L, ar in zip(Ls, got):
+                want = achievable_rate_full(v, L, a, eps, rate_points)
+                assert repr(ar) == repr(want), (v, L, a, eps, rate_points)
+                assert repr(achievable_rate(v, L, a, eps, rate_points)) == repr(want)
+                counts["zero"] += want.R_comp == 0.0
+                counts["positive"] += want.R_comp > 0.0
+                counts["cap"] += want.alpha0 == ALPHA0_CAP
+                counts["one_point"] += rate_points == 1 and want.R_comp > 0.0
+        assert counts["zero"] >= 20 and counts["positive"] >= 20
+        assert counts["cap"] >= 1 and counts["one_point"] >= 1
+
+    def test_constructed_tie_goes_to_the_lower_rate(self):
+        v, L, a, eps, rate_points = self.TIE
+        r_comp, rates = composite_rates(*self.TIE)
+        assert np.flatnonzero(r_comp == r_comp.max()).tolist() == [2, 5]
+        assert (1.0 - 2.0 * (1 / L)) * rates[2] == r_comp[5]
+        want = achievable_rate_full(*self.TIE)
+        assert want.R_inner == rates[2] and want.alpha0 == 1 / L
+        assert repr(achievable_rate(*self.TIE)) == repr(want)
+        assert repr(achievable_rate(v, [L, L], a, eps, rate_points)) == repr((want, want))
+
+    def test_no_positive_rate_below_three_sections(self):
+        for L in (1, 2):
+            want = achievable_rate_full(20.0, L, 3.0, 0.5, 8)
+            assert want.R_comp == 0.0
+            assert repr(achievable_rate(20.0, L, 3.0, 0.5, 8)) == repr(want)
+
+    def test_sequence_and_bad_section_counts(self):
+        assert achievable_rate(20.0, [], 2.0, 1e-4) == ()
+        for bad in (0, -3, 2.0, [4, 0]):
+            with pytest.raises(ValueError, match="L must be an integer >= 1"):
+                achievable_rate(20.0, bad, 2.0, 1e-4)
+
+
+class TestWorkCounts:
+    """The pruned searches do a bounded amount of work."""
+
+    def test_default_fig1_optimizes_few_cells(self, monkeypatch):
+        cells = 0
+        inner = bounds._split_cells
+
+        def counted(table, *args):
+            nonlocal cells
+            cells += table.shape[1]
+            return inner(table, *args)
+
+        monkeypatch.setattr(bounds, "_split_cells", counted)
+        fig1_rows()
+        assert 0 < cells <= 10_500     # 10,090 as measured; 108,000 unpruned
+
+    def test_readme_tail_bound_thresholds_bounded(self, monkeypatch):
+        points = 0
+        inner = bounds._split_terms
+
+        def counted(t_alpha, *args):
+            nonlocal points
+            points += np.size(t_alpha)
+            return inner(t_alpha, *args)
+
+        monkeypatch.setattr(bounds, "_split_terms", counted)
+        q = BoundQuery(channel=ChannelSpec.from_snr(15.0),
+                       code=CodeSpec(L=100, B=8192, rate=0.7 * capacity(15.0)))
+        mistake_tail_bound(1, q)
+        assert 0 < points <= 10_684    # as measured; 31,600 on the full grid
+
+
 class TestNormalApproximationRate:
     def test_median_epsilon_drops_quantile_term(self):
         v, n = 15.0, 500.0
@@ -733,8 +845,9 @@ class TestNormalApproximationRate:
     def test_dispersion_formula(self):
         assert channel_dispersion(15.0) == pytest.approx(
             0.5 * 15 * 17 / 16 ** 2, rel=1e-12)
-        with pytest.raises(ValueError):
-            channel_dispersion(0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="snr must be positive and finite"):
+                channel_dispersion(bad)
 
 
 def oracle_box(seed: int = 1006, groups: int = 170, per_group: int = 30,
@@ -776,11 +889,37 @@ class TestSplitOptimizeOracle:
     def test_grid_points_and_shared_scalars(self):
         q = fig2_query(t=0.01)
         L, n, v, rate, t = 100, q.code.n_real, 15.0, q.code.rate, 0.01
-        for grid_points in (1, 2, 7, 256):
+        for grid_points in (1, 2, 7, 15, 16, 17, 33, 256):
             got = _split_cells(_cells(range(1, L + 1), L, n, v, rate, t), t, grid_points)
             for ell in range(1, L + 1):
                 assert tuple(x[ell - 1] for x in got) == split_eval(
                     ell, L, n, v, rate, t, grid_points)
+
+    # (ell, L, n, v, rate, t): grid minima at the first point, and at the
+    # last for 15 to 33 points; all but the first are ell = L cells, whose
+    # main spread is zero
+    EDGE_CELLS = [
+        (3, 10, 3.6345028149943204, 40.28484182822843, 1.4514138560942957, 0.0),
+        (2, 2, 2288.3055682592258, 16.4207722440208, 1.3210400029232692, 0.0),
+        (5, 5, 18698.09524132068, 19.58349491212631, 1.3570090120349898, 0.06824114594761),
+        (3, 3, 18394.333418725746, 6.665896807837648, 0.8896027381065357,
+         0.06294305735565194),
+        (5, 5, 39756.22660130859, 1839.3516451968835, 3.5892762975598793,
+         0.12636487532045157),
+    ]
+
+    @pytest.mark.parametrize("grid_points", [15, 16, 17, 33, 256])
+    def test_grid_minimum_at_either_end(self, grid_points):
+        minima = set()
+        for ell, L, n, v, rate, t in self.EDGE_CELLS:
+            cells = _cells([ell], L, n, v, rate, t)
+            assert (cells[4, 0] == 0.0) == (ell == L)
+            minima.add(int(_grid_and_refine(cells, t, grid_points)[2][0]))
+            got = _split_cells(cells, t, grid_points)
+            assert tuple(x[0] for x in got) == split_eval(ell, L, n, v, rate, t,
+                                                          grid_points)
+        assert 0 in minima
+        assert grid_points == 256 or grid_points - 1 in minima
 
     def test_empty_and_all_without_room(self):
         assert all(x.size == 0 for x in _split_cells(_cells([], 5, 10.0, 15.0, 1.0, 0.0),

@@ -280,6 +280,13 @@ class TestErrorSurface:
         (["curves", "--kind", "fig2", "--t", "nan"],
          "threshold must be nonnegative and finite"),
         (["simulate", "--t", "nan"], "threshold must be nonnegative and finite"),
+        (["bounds", "--snr", "inf"], "snr must be positive and finite, got inf"),
+        (["bounds", "--snr", "nan"], "snr must be positive and finite, got nan"),
+        (["curves", "--kind", "ppv", "--snr", "inf"],
+         "snr must be positive and finite, got inf"),
+        (["curves", "--kind", "ppv", "--snr", "nan"],
+         "snr must be positive and finite, got nan"),
+        (["simulate", "--snr", "inf"], "snr must be positive and finite, got inf"),
     ])
     def test_bad_value_fails_before_any_output(self, argv, message, tmp_path,
                                                capsys):

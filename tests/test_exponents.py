@@ -222,6 +222,11 @@ class TestTestStatisticCgf:
     def test_infinite_sentinel(self):
         assert math.isinf(statistic_cgf(1.1, 1.0, 1e12))
 
+    @pytest.mark.parametrize("v", [0.0, math.inf, math.nan])
+    def test_snr_must_be_positive_and_finite(self, v):
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            statistic_cgf(0.5, 0.5, v)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 1.0])
     def test_legendre_transform_matches_capped_exponent(self, alpha):
         # max over tilts of lam*delta - cgf(lam) equals the capped exponent

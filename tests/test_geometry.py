@@ -50,6 +50,19 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(P=1.0, sigma2=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_infinite_and_nan(self, bad):
+        for P, sigma2 in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ChannelSpec(P=P, sigma2=sigma2)
+        with pytest.raises(ValueError, match=f"^snr must be positive and finite, got {bad}$"):
+            ChannelSpec.from_snr(bad)
+        for f in (capacity, lambda v: partial_capacity(0.5, v)):
+            with pytest.raises(ValueError, match="snr must be positive and finite"):
+                f(bad)
+        with pytest.raises(ValueError, match=r"got \[inf nan\]$"):
+            spread_direct(0.5, np.array([15.0, math.inf, math.nan]))
+
 
 class TestCodeSpec:
     def test_section_size_rate(self):
@@ -111,9 +124,10 @@ class TestArrayForms:
         # the message names the bad elements only
         with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got \[ 1.5 -0.5\]$"):
             partial_capacity(np.array([0.5, 1.5, 0.25, -0.5]), 15.0)
-        with pytest.raises(ValueError, match=r"^snr must be positive, got \[ 0. nan\]$"):
+        with pytest.raises(ValueError,
+                           match=r"^snr must be positive and finite, got \[ 0. nan\]$"):
             spread_direct(np.array([0.5, 0.25, 0.1]), np.array([15.0, 0.0, np.nan]))
-        with pytest.raises(ValueError, match=r"^snr must be positive, got -1.0$"):
+        with pytest.raises(ValueError, match=r"^snr must be positive and finite, got -1.0$"):
             spread_refined(0.5, -1.0)
         with pytest.raises(ValueError):
             log_binomial(5, np.array([0, 6]))

@@ -25,6 +25,7 @@ COMMANDS = {
                "--rate-fraction", "0.7", "--alpha0", "0.1"],
     "fig1": ["curves", "--kind", "fig1", "--snr", "20", "--epsilon", "1e-4",
              "--L-list", "10,20", "--rate-points", "16"],
+    "fig1_default": ["curves", "--kind", "fig1"],
     "fig2": ["curves", "--kind", "fig2"],
     "fig3": ["curves", "--kind", "fig3"],
     "fig3_L16": ["curves", "--kind", "fig3", "--snr-list", "2,15,100", "--L", "16",
