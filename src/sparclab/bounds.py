@@ -21,8 +21,10 @@ import numpy as np
 from .exponents import (
     _capped_exponent_array,
     _exponent_array,
+    _interior,
     _log1p,
     _prepare_spread,
+    _tilt,
 )
 from .geometry import (
     ChannelSpec,
@@ -36,7 +38,6 @@ from .geometry import (
 )
 from .normal import q_inverse
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ALPHA0_CAP = 0.25   # largest outer mistake fraction achievable_rate tries
 
 
@@ -165,6 +166,40 @@ def _split_terms(t_alpha, t, cells):
     return main, star
 
 
+def _split_newton(t_alpha, t, params):
+    """The split terms at thresholds t_alpha inside the open interval, the
+    log-ratio rho = ln(-main'/star') of their slopes, and dh/dt_alpha for h
+    = main - star + rho.
+
+    params are a _cells table's rows with both split spreads prepared
+    (_refine_params).  F = logaddexp(main, star) has the sign of h as its
+    slope.  An exponent's slope in its gap is its optimal tilt lam (the
+    envelope theorem), so main' = n min(lam_main, 1), which is n on the
+    capped branch and at zero spread, and star' = -n lam_star.  Its second
+    derivative is (1 - lam^2 s)^2 / (s (1 + lam^2 s)) = 2 / (s root (1 +
+    root)), with root from _interior, and 0 on the capped branch; so E''/E'
+    = 1 / (root gap) on the interior branch, and dh = main' - star' -
+    (star''/star' - main''/main').  As the threshold grows, main - star
+    rises and rho falls: the main tilt falls as its gap shrinks, and the
+    star tilt rises as its gap grows.
+    """
+    main, star = _split_terms(t_alpha, t, params)
+    n, room, _, _, s_main, s_star, _, _ = params
+    gap = t_alpha - t
+    d = room - gap
+    _, root_main = _interior(d, s_main.safe)
+    _, root_star = _interior(gap, s_star.safe)
+    lam_main = _tilt(d, s_main.safe, root_main)
+    lam_star = _tilt(gap, s_star.safe, root_star)
+    interior = lam_main < 1.0
+    if s_main.any_zero:
+        interior &= ~s_main.zero
+    slope_main = np.where(interior, lam_main, 1.0)
+    dh = (n * (slope_main + lam_star) - 1.0 / (root_star * gap)
+          - np.where(interior, 1.0 / (root_main * d), 0.0))
+    return main, star, np.log(slope_main / lam_star), dh
+
+
 _GRID_POINTS = 256  # grid-stage points per cell of the split optimizer
 _GRID_CHUNK = 128   # cells per grid-stage pass; bounds the (cells, grid) temporaries
 _GRID_BLOCK = 16    # grid points per block the grid stage may skip (see _grid_and_refine)
@@ -174,10 +209,10 @@ _BRACKET_MARGIN = 1e-9  # relative slack of the bracket lower bound (see _split_
 def _split_cells(cells: np.ndarray, t: float, grid_points: int = _GRID_POINTS):
     """Optimize the split bound over the open threshold interval of each cell.
 
-    The cells are the columns of a _cells table: a grid stage, then
-    golden-section refinement around each grid minimum (_grid_and_refine).
-    Returns arrays (log_total, t_alpha, log_main, log_star); a cell whose
-    threshold leaves no room gives (0, t, 0, 0).
+    The cells are the columns of a _cells table: a grid stage, then a
+    safeguarded Newton refinement around each grid minimum
+    (_grid_and_refine).  Returns arrays (log_total, t_alpha, log_main,
+    log_star); a cell whose threshold leaves no room gives (0, t, 0, 0).
     """
     out = np.zeros((4, cells.shape[1]))
     out[1] = t
@@ -209,29 +244,32 @@ def _split_search(cells: np.ndarray, t: float, stop: float, groups, hint=None):
     """Is the optimized split bound of each cell at or below ``stop``?
 
     cells are the columns with room of a _cells table.  The search is
-    _grid_and_refine's (a grid stage, then golden-section refinement
+    _grid_and_refine's (a grid stage, then a safeguarded Newton refinement
     around each grid minimum, on every cell in lockstep), cut short once
-    a cell's decision is known.  Returns (t_alpha, log_total): per cell,
-    the threshold it left at and its value.
+    a cell's decision is known: the same points, evaluated in the same
+    order, until then.  Returns (t_alpha, log_total): per cell, the
+    threshold it left at and its value.
 
-    Golden-section search keeps the better of its two interior points, so
-    the full search returns the smallest value it evaluated.  A cell
-    therefore leaves at its first value at or below ``stop``, and its
-    result is at or below ``stop`` exactly when the full search would end
-    there.  ``groups`` is an integer label per cell: a cell that finishes
-    above ``stop`` ends its group, whose other cells leave where they are;
-    a cell that ends before any evaluation reports (nan, inf).
+    The refinement keeps the best value it evaluates, starting from the
+    grid minimum's, so the full search returns the smallest value it
+    evaluated.  A cell therefore leaves at its first value at or below
+    ``stop``, and its result is at or below ``stop`` exactly when the full
+    search would end there.  ``groups`` is an integer label per cell: a
+    cell that finishes above ``stop`` ends its group, whose other cells
+    leave where they are; a cell that ends before any evaluation reports
+    (nan, inf).
 
-    A cell also finishes above ``stop`` as soon as its bracket
-    [a, b] proves the full search would.  The main term is nondecreasing
-    in the threshold (its gap room - (x - t) shrinks) and the star term
-    nonincreasing (its gap x - t grows), so every value left to evaluate,
-    all inside the bracket, is at least logaddexp(main(a), star(b)).  Once
-    that lower bound exceeds ``stop`` by _BRACKET_MARGIN, which covers the
-    few ulps by which the rounded terms can break monotonicity, the cell
-    fails.  The terms at the bracket ends and interior points ride along
-    in the state, so the bound costs no evaluations beyond the two bracket
-    ends at the start.
+    A cell also finishes above ``stop`` as soon as its bracket [a, b]
+    proves the full search would.  The main term is nondecreasing in the
+    threshold (its gap room - (x - t) shrinks) and the star term
+    nonincreasing (its gap x - t grows), and every point the refinement
+    evaluates lies inside its bracket at the time, so every value left to
+    evaluate is at least logaddexp(main(a), star(b)).  Once that lower
+    bound exceeds ``stop`` by _BRACKET_MARGIN, which covers the few ulps
+    by which the rounded terms can break monotonicity, the cell fails.
+    The terms at the bracket ends ride along in the refinement's state, so
+    the bound costs no evaluations beyond the two bracket ends the
+    refinement starts with.
 
     Two checks run before any grid work, and neither changes a decision:
     - the whole-interval screen: the bound over the widest bracket, [t +
@@ -270,7 +308,7 @@ def _split_search(cells: np.ndarray, t: float, stop: float, groups, hint=None):
 
 def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
                      stop: float | None = None, groups=None, dead=None):
-    """Grid stage, then golden-section refinement around each grid minimum.
+    """Grid stage, then safeguarded Newton refinement around each grid minimum.
 
     The cells are the columns with room of a _cells table.  Returns
     (t_alpha, log_total, j): per cell, the best threshold evaluated, its
@@ -284,7 +322,11 @@ def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
     that clears the best end value by _fail_above's margin, no point
     inside the block can reach that value, let alone tie the minimum, so
     the block's inside is left unevaluated.  The argmin, its first-index
-    ties and the bits of every returned value are those of the full grid.
+    ties and the bits of every grid value are those of the full grid.
+
+    The refinement (_refine) brackets each grid minimum by its two grid
+    neighbours, or by the open interval's end, 1e-12 of the room inside
+    it, where the minimum is the grid's first or last point.
     """
     room = cells[1]
     m = room.size
@@ -319,17 +361,12 @@ def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
         hi[part] = np.where(j < grid_points - 1, x_hi, t + r[:, 0] * (1.0 - 1e-12))
 
     if stop is None:
-        c, d, fc, fd = _refine(cells, t, lo, hi)
-    else:   # cells the grid settles skip the refinement
-        c, d, fc, fd = final = np.full((4, m), np.inf)
-        live = np.flatnonzero(f_grid > stop)
-        if live.size:
-            final[:, live] = _refine(cells[:, live], t, lo[live], hi[live], stop,
-                                     groups[live], dead)
-    left = fc < fd
-    grid = f_grid < np.where(fd < fc, fd, fc)
-    return (np.where(grid, x_grid, np.where(left, c, d)),
-            np.where(grid, f_grid, np.where(left, fc, fd)), j_min)
+        return (*_refine(cells, t, x_grid, lo, hi), j_min)
+    live = np.flatnonzero(f_grid > stop)     # cells the grid settles skip the refinement
+    if live.size:
+        x_grid[live], f_grid[live] = _refine(cells[:, live], t, x_grid[live], lo[live],
+                                             hi[live], stop, groups[live], dead)
+    return x_grid, f_grid, j_min
 
 
 def _refine_params(cells: np.ndarray) -> list:
@@ -339,63 +376,110 @@ def _refine_params(cells: np.ndarray) -> list:
     return params
 
 
-def _refine(cells: np.ndarray, t: float, a, b, stop: float | None = None,
-            groups=None, dead=None) -> np.ndarray:
-    """Golden-section search of every cell on its bracket [a, b], in lockstep.
+_REFINE_STEPS = 60  # bisection alone narrows a grid bracket to 1e-14 of the room in 40
 
-    Returns a (4, cells) array of each cell's last interior points and
-    their values: c, d, fc, fd.  The state is a list of per-cell arrays;
-    it and the prepared parameters are compacted only when a cell exits.
-    With ``stop`` (see _split_search), a cell that finishes above it marks
-    its group in ``dead``, and the group's other cells exit with it.
+
+# a bracket end within rounding of the interval's end has a zero gap, where
+# h and dh are infinite (with h's sign right) or nan; such a step bisects
+@np.errstate(divide="ignore", invalid="ignore")
+def _refine(cells: np.ndarray, t: float, x, a, b, stop: float | None = None,
+            groups=None, dead=None) -> np.ndarray:
+    """Safeguarded Newton search of every cell on its bracket [a, b], in lockstep.
+
+    x is each cell's grid minimum, inside its bracket.  Returns a (2,
+    cells) array: per cell, the best threshold evaluated and its value.
+
+    The search looks for a zero of h = main - star + rho (_split_newton),
+    which has the sign of the split bound's slope.  Newton's method on the
+    slope itself can step away from the minimum where a capped, linear
+    main term crosses the star term, since the bound follows the concave
+    star term below the crossing; h is nearly linear across it.
+
+    The search starts from x and both bracket ends, evaluated in one call,
+    and keeps the best point evaluated.  Each step takes the latest point:
+    if it is the best point, it moves the bracket end on the side its h
+    points away from, else the end on its side of the best point, so the
+    bracket always holds the best point.  The next point is the Newton
+    point x - h/dh, or the bracket's midpoint when dh <= 0 or the Newton
+    point falls outside (a, b).  A cell stops when its Newton step is at
+    most 1e-10 of the room with dh > 0, or its bracket at most 1e-14 of
+    the room.
+
+    A cell also stops when its best point is one bracket end, the latest
+    point the other, and the split bound is monotone in between.  main -
+    star rises with the threshold and rho falls, so h >= (main - star)(p)
+    + rho(q) on [p, q], and h <= (main - star)(q) + rho(p): a best point a
+    with (main - star)(a) + rho(b) >= 0 is the minimum over [a, b], and so
+    is a best point b with (main - star)(b) + rho(a) <= 0.  That ends the
+    cells whose minimum is at an end of the open interval on their first
+    step, where bisection would take about 40.
+
+    Every point a cell evaluates lies in the bracket it had then, which
+    _split_search's bracket lower bound rests on.  The state is a list of
+    per-cell arrays; it and the prepared parameters are compacted only
+    when a cell exits.  With ``stop`` (see _split_search), a cell also
+    exits once its best value is at or below ``stop``, or once its bracket
+    lower bound logaddexp(main(a), star(b)) clears _fail_above(stop); one
+    that finishes above ``stop`` marks its group in ``dead``, and the
+    group's other cells exit with it.
     """
-    out = np.empty((4, a.size))
-    live = np.arange(a.size)
-    params, tol = _refine_params(cells), 1e-14 * cells[1]
-    w = GOLDEN * (b - a)
-    c, d = b - w, a + w
+    out = np.empty((2, x.size))
+    live = np.arange(x.size)
+    params = _refine_params(cells)
+    pts = np.stack([x, a, b])
+    main, star, rho, dh = _split_newton(pts, t, params)
+    f = np.logaddexp(main, star)
+    pick = np.argmin(f, axis=0), np.arange(x.size)    # the grid minimum wins ties
+    # a, b, the latest point x, its main and star terms, rho and dh, and the
+    # best point, its value and its main - star; with stop also main(a)
+    # and star(b)
+    state = [a, b, x, main[0], star[0], rho[0], dh[0], pts[pick], f[pick],
+             (main - star)[pick]]
     decide = stop is not None
-    main, star = _split_terms(np.stack([c, d, a, b] if decide else [c, d]), t, params)
-    # a, b, c, d, fc, fd, and with stop: mc, md, ma, sc, sd, sb, the main (m)
-    # and star (s) terms at the interior points and the bracket ends
-    state = [a, b, c, d, *np.logaddexp(main[:2], star[:2])]
     if decide:
-        state += [*main[:3], *star[[0, 1, 3]]]
+        state += [main[1], star[2]]
         fail_above = _fail_above(stop)
-    for _ in range(60):
-        if not live.size:
-            break
-        a, b, c, d, fc, fd = state[:6]
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        span = b - a
-        w = GOLDEN * span
-        x = np.where(left, b - w, a + w)
-        mx, sx = _split_terms(x, t, params)
-        fx = np.logaddexp(mx, sx)
-        new = [a, b, np.where(left, x, d), np.where(left, c, x),
-               np.where(left, fx, fd), np.where(left, fc, fx)]
-        done = span <= tol
+    for _ in range(_REFINE_STEPS):
+        a, b, x, main, star, rho, dh, best_x, best_f, best_diff = state[:10]
+        h = main - star + rho
+        at_best = x == best_x
+        up = np.where(at_best, h < 0.0, x < best_x)        # the minimum lies above x
+        down = np.where(at_best, h > 0.0, x > best_x)
+        a, b = np.where(up, x, a), np.where(down, x, b)
+        step = h / dh
+        newton = x - step
+        bisect = ~((dh > 0.0) & (a < newton) & (newton < b))
+        room = cells[1]
+        done = (((dh > 0.0) & (np.abs(step) <= 1e-10 * room)) | (b - a <= 1e-14 * room)
+                | (down & (best_x == a) & (best_diff + rho >= 0.0))
+                | (up & (best_x == b) & (best_diff + rho <= 0.0)))
+        state[:3] = a, b, np.where(bisect, 0.5 * (a + b), newton)
         if decide:
-            mc, md, ma, sc, sd, sb = state[6:]
-            ma, sb = np.where(left, ma, mc), np.where(left, sd, sb)
-            new += [np.where(left, mx, md), np.where(left, mc, mx), ma,
-                    np.where(left, sx, sd), np.where(left, sc, sx), sb]
-            hit = np.minimum(new[4], new[5]) <= stop
-            done |= hit | (np.logaddexp(ma, sb) > fail_above)
-        state = new
+            main_a, star_b = np.where(up, main, state[10]), np.where(down, star, state[11])
+            state[10:] = main_a, star_b
+            hit = best_f <= stop
+            done |= hit | (np.logaddexp(main_a, star_b) > fail_above)
         if np.count_nonzero(done):     # a cheaper test than done.any() on small arrays
             if decide:
                 dead[groups[done & ~hit]] = True
                 done |= dead[groups]
+            out[:, live[done]] = best_x[done], best_f[done]
             keep = ~done
-            out[:, live[done]] = [s[done] for s in state[2:6]]
+            live, cells = live[keep], cells[:, keep]
+            if not live.size:
+                return out
             state = [s[keep] for s in state]
-            live, cells, tol = live[keep], cells[:, keep], tol[keep]
             params = _refine_params(cells)
             if decide:
                 groups = groups[keep]
-    out[:, live] = state[2:6]
+        x, best_x, best_f, best_diff = state[2], *state[7:10]
+        main, star, rho, dh = _split_newton(x, t, params)
+        f = np.logaddexp(main, star)
+        better = f < best_f
+        state[3:10] = (main, star, rho, dh, np.where(better, x, best_x),
+                       np.where(better, f, best_f),
+                       np.where(better, main - star, best_diff))
+    out[:, live] = state[7:9]
     return out
 
 
@@ -716,8 +800,8 @@ def channel_dispersion(v: float) -> float:
 
 def normal_approximation_rate(v: float, n: float, epsilon: float) -> float:
     """Benchmark rate C - sqrt(V/n) Qinv(eps) + ln(n)/(2n) in nats."""
-    if n <= 1:
-        raise ValueError(f"codelength must exceed 1, got {n}")
+    if not 1 < n < math.inf:
+        raise ValueError(f"codelength must be finite and exceed 1, got {n}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     C = capacity(v)

@@ -5,9 +5,10 @@ dense tilt grids, quantiles from bisection on erfc, decoders from plain
 itertools enumeration.  The exceptions are slow paths that a fast one
 replaced, kept unchanged as references: the scalar closed-form exponents
 and tilt (the array forms in ``sparclab.exponents`` must match them to the
-last bits of log1p), the per-cell split-bound optimizer
-(the lockstep array optimizer in ``sparclab.bounds`` must match it bit for
-bit), the per-cell scalar union bound (the array table must match it to
+last bits of log1p), the per-cell split-bound optimizer with golden-section
+refinement (the lockstep Newton-refined optimizer in ``sparclab.bounds``
+must match its values to 1e-12 relative and its thresholds to 1e-7 of the
+room), the per-cell scalar union bound (the array table must match it to
 the last bits of log1p), the one-row bisection for the target section
 size rate, whose probes run the full split optimization (the lockstep
 bisection and its yes/no probes must match it exactly), the full-grid

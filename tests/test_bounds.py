@@ -1,6 +1,7 @@
 """Error-probability bound engine and the curve-generation primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ def target_box(seed: int = 6, groups: int = 14):
     (0, 0.3), epsilon log-uniform on [1e-5, 0.1], a_max 50, v log-uniform
     on [20, 316] and rates uniform on [0.72, 0.88] of capacity.  There the
     split bound sets the boundary, and a cell near it passes only during
-    golden-section refinement, not at the grid stage.
+    the refinement, not at the grid stage.
     """
     rng = np.random.default_rng(seed)
     for g in range(groups):
@@ -513,7 +514,9 @@ class TestBracketLowerBound:
         assert checked >= 150
 
     def test_fig3_split_terms_calls_bounded(self, monkeypatch):
-        # kernel evaluations: calls, and thresholds evaluated over all calls
+        # kernel evaluations: calls, and thresholds evaluated over all calls;
+        # the refinement's _split_newton evaluates through _split_terms, so
+        # its steps count too
         calls = points = 0
         inner = bounds._split_terms
 
@@ -525,8 +528,8 @@ class TestBracketLowerBound:
 
         monkeypatch.setattr(bounds, "_split_terms", counted)
         fig3_rows()
-        assert 0 < calls <= 380
-        assert 0 < points <= 130_000
+        assert 0 < calls <= 160         # 153 as measured
+        assert 0 < points <= 30_000     # 29,254 as measured
 
 
 class TestWarmProbes:
@@ -748,8 +751,9 @@ class TestAchievableRateOracle:
     repr for repr."""
 
     # two rates in different 16-rate blocks tie: rates[5] at alpha0 = 2/12
-    # and rates[2] at 1/12, whose upper bound (1 - 2/L) R is that tie
-    TIE = (1.5, 12, 6.13, 0.11997095706979419, 20)
+    # and rates[2] at 1/12, whose upper bound (1 - 2/L) R is that tie.
+    # epsilon is rates[5]'s tail from ell0 = 2, to the last bit
+    TIE = (1.5, 12, 6.13, 0.11997095706979435, 20)
 
     def test_matches_full_search_on_seeded_box(self):
         counts = dict.fromkeys(("zero", "cap", "positive", "one_point"), 0)
@@ -807,19 +811,28 @@ class TestWorkCounts:
         assert 0 < cells <= 10_500     # 10,090 as measured; 108,000 unpruned
 
     def test_readme_tail_bound_thresholds_bounded(self, monkeypatch):
-        points = 0
-        inner = bounds._split_terms
+        # thresholds evaluated, the refinement's included (see above), and
+        # the refinement's lockstep steps: one _split_newton call each
+        points = steps = 0
+        inner, inner_newton = bounds._split_terms, bounds._split_newton
 
         def counted(t_alpha, *args):
             nonlocal points
             points += np.size(t_alpha)
             return inner(t_alpha, *args)
 
+        def stepped(*args):
+            nonlocal steps
+            steps += 1
+            return inner_newton(*args)
+
         monkeypatch.setattr(bounds, "_split_terms", counted)
+        monkeypatch.setattr(bounds, "_split_newton", stepped)
         q = BoundQuery(channel=ChannelSpec.from_snr(15.0),
                        code=CodeSpec(L=100, B=8192, rate=0.7 * capacity(15.0)))
         mistake_tail_bound(1, q)
-        assert 0 < points <= 10_684    # as measured; 31,600 on the full grid
+        assert 0 < points <= 5_400     # 5,282 as measured; 31,600 on the full grid
+        assert 0 < steps <= 5          # 4 as measured; 58 by golden section
 
 
 class TestNormalApproximationRate:
@@ -841,6 +854,11 @@ class TestNormalApproximationRate:
                 for n in (200, 500, 1000, 5000, 20000)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < capacity(15.0)
+
+    def test_codelength_finite_and_above_one(self):
+        for bad in (1.0, 0.5, -2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="codelength must be finite and exceed 1"):
+                normal_approximation_rate(15.0, bad, 1e-4)
 
     def test_dispersion_formula(self):
         assert channel_dispersion(15.0) == pytest.approx(
@@ -870,34 +888,75 @@ def oracle_box(seed: int = 1006, groups: int = 170, per_group: int = 30,
         yield L, v, t, ells.tolist(), n.tolist(), rate.tolist()
 
 
-class TestSplitOptimizeOracle:
-    """The lockstep optimizer reproduces the per-cell scalar optimizer exactly."""
+VALUE_TOL = 1e-12       # relative to max(1, |value|), on either side of the oracle
+THRESHOLD_TOL = 1e-7    # relative to the cell's room
 
-    def test_bit_identical_on_seeded_box(self):
+
+def assert_matches_split_oracle(table, t, got, cells, grid_points=256):
+    """_split_cells(table, t, grid_points) against oracles.split_eval, the
+    golden-section slow path the Newton refinement replaced, one cell
+    (ell, L, n, v, rate, t) per column.  Returns the oracle's results.
+
+    A cell without room matches exactly.  Otherwise the value is within
+    VALUE_TOL of the oracle's, so never above it by more, the threshold
+    within THRESHOLD_TOL of the room, and the two terms are those at the
+    returned threshold, whose logaddexp is the value, bit for bit.
+    """
+    f, x, main, star = got
+    room = table[1]
+    terms = _split_terms(x, t, table)
+    has_room = room > 0.0
+    for want, got_terms in zip(terms, (main, star)):
+        assert np.array_equal(got_terms[has_room], want[has_room])
+    assert np.array_equal(f[has_room], np.logaddexp(main, star)[has_room])
+    wants = []
+    for i, cell in enumerate(cells):
+        want = split_eval(*cell, grid_points)
+        wants.append(want)
+        if not has_room[i]:
+            assert (f[i], x[i], main[i], star[i]) == want, cell
+            continue
+        assert abs(f[i] - want[0]) <= VALUE_TOL * max(1.0, abs(want[0])), (cell, want)
+        assert abs(x[i] - want[1]) <= THRESHOLD_TOL * room[i], (cell, want)
+    return wants
+
+
+class TestSplitOptimizeOracle:
+    """The lockstep optimizer agrees with the per-cell golden-section
+    optimizer within VALUE_TOL and THRESHOLD_TOL."""
+
+    def test_agrees_on_seeded_box(self):
         cells = full = no_room = 0
         for L, v, t, ells, ns, rates in oracle_box():
-            got = _split_cells(_cells(ells, L, ns, v, rates, t), t)
-            for i, (ell, n, rate) in enumerate(zip(ells, ns, rates)):
-                want = split_eval(ell, L, n, v, rate, t)
-                assert tuple(x[i] for x in got) == want, (ell, L, n, v, rate, t)
-                cells += 1
-                full += ell == L
-                no_room += want == (0.0, t, 0.0, 0.0)
+            table = _cells(ells, L, ns, v, rates, t)
+            wants = assert_matches_split_oracle(
+                table, t, _split_cells(table, t),
+                [(ell, L, n, v, rate, t) for ell, n, rate in zip(ells, ns, rates)])
+            cells += len(wants)
+            full += ells.count(L)
+            no_room += wants.count((0.0, t, 0.0, 0.0))
         assert cells >= 5000
         assert full >= 170 and no_room >= 100 and cells - no_room >= 3000
 
     def test_grid_points_and_shared_scalars(self):
         q = fig2_query(t=0.01)
         L, n, v, rate, t = 100, q.code.n_real, 15.0, q.code.rate, 0.01
+        table = _cells(range(1, L + 1), L, n, v, rate, t)
+        cells = [(ell, L, n, v, rate, t) for ell in range(1, L + 1)]
         for grid_points in (1, 2, 7, 15, 16, 17, 33, 256):
-            got = _split_cells(_cells(range(1, L + 1), L, n, v, rate, t), t, grid_points)
-            for ell in range(1, L + 1):
-                assert tuple(x[ell - 1] for x in got) == split_eval(
-                    ell, L, n, v, rate, t, grid_points)
+            assert_matches_split_oracle(table, t, _split_cells(table, t, grid_points),
+                                        cells, grid_points)
 
-    # (ell, L, n, v, rate, t): grid minima at the first point, and at the
-    # last for 15 to 33 points; all but the first are ell = L cells, whose
-    # main spread is zero
+    # (ell, L, n, v, rate, t).  The first five have their grid minima at
+    # the first point, or at the last for 15 to 33 points; the second to
+    # fifth are ell = L cells, whose main spread is zero.  The first and the
+    # seventh have their minimum at the interval's lower end, so the
+    # refinement ends after its first evaluation.  The sixth has its
+    # minimum where its main term, on the capped branch and so linear,
+    # crosses its star term: the bound has a kink there and follows the
+    # concave star term below it, so Newton's method on the bound's own
+    # slope steps away from the minimum, while h is nearly linear across
+    # the crossing.
     EDGE_CELLS = [
         (3, 10, 3.6345028149943204, 40.28484182822843, 1.4514138560942957, 0.0),
         (2, 2, 2288.3055682592258, 16.4207722440208, 1.3210400029232692, 0.0),
@@ -906,18 +965,39 @@ class TestSplitOptimizeOracle:
          0.06294305735565194),
         (5, 5, 39756.22660130859, 1839.3516451968835, 3.5892762975598793,
          0.12636487532045157),
+        (9, 10, 5791.5, 40.28, 0.467, 0.0),
+        (17, 37, 7.321815794956106, 48.27011671137033, 0.24808323531860957,
+         0.07922676981047241),
     ]
+
+    def test_tiny_room_beside_a_positive_threshold(self):
+        # t + 1e-12 room rounds to t here, so the refinement starts from a
+        # zero gap, where h and dh are infinite: no warning, and the value
+        # within VALUE_TOL.  The bound moves by about 1e-12 across such a
+        # room, so the threshold is only checked to lie in the interval
+        L, v, t, ell, n = 10, 15.0, 0.05, 4, 500.0
+        alpha = ell / L
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for room in (1e-7, 1e-12, 1e-17):
+                rate = (partial_capacity(alpha, v) - t - room) / alpha
+                table = _cells([ell], L, n, v, rate, t)
+                assert 0.0 < table[1, 0] and t + 1e-12 * table[1, 0] == t
+                f, x, _, _ = (float(r[0]) for r in _split_cells(table, t))
+                want, _, _, _ = split_eval(ell, L, n, v, rate, t)
+                assert abs(f - want) <= VALUE_TOL * max(1.0, abs(want)), room
+                assert t <= x <= t + table[1, 0]
 
     @pytest.mark.parametrize("grid_points", [15, 16, 17, 33, 256])
     def test_grid_minimum_at_either_end(self, grid_points):
         minima = set()
-        for ell, L, n, v, rate, t in self.EDGE_CELLS:
+        for cell in self.EDGE_CELLS:
+            ell, L, n, v, rate, t = cell
             cells = _cells([ell], L, n, v, rate, t)
             assert (cells[4, 0] == 0.0) == (ell == L)
             minima.add(int(_grid_and_refine(cells, t, grid_points)[2][0]))
-            got = _split_cells(cells, t, grid_points)
-            assert tuple(x[0] for x in got) == split_eval(ell, L, n, v, rate, t,
-                                                          grid_points)
+            assert_matches_split_oracle(cells, t, _split_cells(cells, t, grid_points),
+                                        [cell], grid_points)
         assert 0 in minima
         assert grid_points == 256 or grid_points - 1 in minima
 

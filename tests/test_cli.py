@@ -287,6 +287,10 @@ class TestErrorSurface:
         (["curves", "--kind", "ppv", "--snr", "nan"],
          "snr must be positive and finite, got nan"),
         (["simulate", "--snr", "inf"], "snr must be positive and finite, got inf"),
+        (["curves", "--kind", "ppv", "--n-list", "nan,100"],
+         "codelength must be finite and exceed 1, got nan"),
+        (["curves", "--kind", "ppv", "--n-list", "inf"],
+         "codelength must be finite and exceed 1, got inf"),
     ])
     def test_bad_value_fails_before_any_output(self, argv, message, tmp_path,
                                                capsys):
