@@ -306,6 +306,12 @@ def _split_search(cells: np.ndarray, t: float, stop: float, groups, hint=None):
     return x_out, f_out
 
 
+def _block_ends(grid_points: int):
+    """0-based grid indices of the first and last point of each grid-stage block."""
+    first = np.arange(0, grid_points, _GRID_BLOCK)
+    return first, np.minimum(first + _GRID_BLOCK - 1, grid_points - 1)
+
+
 def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
                      stop: float | None = None, groups=None, dead=None):
     """Grid stage, then safeguarded Newton refinement around each grid minimum.
@@ -331,8 +337,7 @@ def _grid_and_refine(cells: np.ndarray, t: float, grid_points: int,
     room = cells[1]
     m = room.size
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
-    first = np.arange(0, grid_points, _GRID_BLOCK)
-    last = np.minimum(first + _GRID_BLOCK - 1, grid_points - 1)
+    first, last = _block_ends(grid_points)
     # (first, last) per block; a point evaluated twice gets the same bits twice
     ends = np.stack([first, last], axis=1).ravel()
     # each block's inside; a block shorter than _GRID_BLOCK repeats its last point
@@ -594,6 +599,162 @@ def _target_feasible(table: np.ndarray, n: np.ndarray, log_eps: float,
     return ok
 
 
+_PREDICT_PASSES = 8     # most fixed-point passes of _predict_targets
+_PREDICT_SETTLED = 1e-7  # a pass moving no need that matters by more, relative, is the last
+_NEED_STEPS = 30        # cap on the Newton steps of _split_needs; about 6 are taken
+
+
+def _term_exponents(x, cells):
+    """The exponents Em and Es of the two split terms at thresholds x, t = 0.
+
+    cells is a _cells table broadcast against x; its n row is not read.
+    The terms are ln(L choose ell) - n Em and -n Es.
+    """
+    _, room, _, _, s_main, s_star, _, clamp = cells
+    main, star = _split_terms(x, 0.0, (1.0, room, 0.0, None, s_main, s_star, None, clamp))
+    return -main, -star
+
+
+def _term_needs(e_main, e_star, log_comb, log_eps: float):
+    """The codelengths (lc - log_eps)/Em and -log_eps/Es at which each split
+    term alone is exp(log_eps); the first rises with the threshold, the
+    second falls."""
+    return (log_comb - log_eps) / e_main, -log_eps / e_star
+
+
+def _split_needs(e_main, e_star, log_comb, log_eps: float) -> np.ndarray:
+    """The codelength N at which the split bound with term exponents Em and
+    Es (_term_exponents) is exp(log_eps) < 1.
+
+    Only n varies, so N solves g(n) = logaddexp(lc - n Em, -n Es) =
+    log_eps, lc = ln(L choose ell).  g is convex and decreasing, and at the
+    larger of the two _term_needs one term is exp(log_eps) and the other at
+    most that, so g >= log_eps there: Newton's method from there rises to N
+    from below.  A zero exponent gives an infinite N.
+    """
+    n = np.maximum(*_term_needs(e_main, e_star, log_comb, log_eps))
+    live = np.isfinite(n)
+    n = np.where(live, n, math.inf)
+    for _ in range(_NEED_STEPS):
+        main, star = log_comb - n * e_main, -n * e_star
+        total = np.logaddexp(main, star)
+        step = (total - log_eps) / (e_main * np.exp(main - total)
+                                    + e_star * np.exp(star - total))
+        n = np.where(live, n + step, n)
+        live &= step > 1e-13 * n
+        if not live.any():
+            break
+    return n
+
+
+# a zero exponent makes a need infinite and the arithmetic on it nan: such a
+# cell's need is then its union need, or its row's guess is off and the
+# replay probes its way to the target
+@np.errstate(all="ignore")
+def _predict_targets(table: np.ndarray, n_per_a, log_eps: float, hint) -> np.ndarray:
+    """Per row of a (8, rows, counts) _cells table, a guess at the smallest
+    section size rate at which every cell meets exp(log_eps) < 1.
+
+    n_per_a is each row's codelength per unit of section size rate, and
+    every cell needs room (as every cell of a row that passes at some a
+    has).  A cell needs n_u = (lc - log_eps)/E_union for its union bound,
+    and min over x of N(x) (_split_needs) for its split bound.  That
+    minimum is the fixed point of n <- N(x*(n)), x*(n) the split bound's
+    best threshold at n: at the minimizer the bound at every threshold is
+    at least exp(log_eps), so it is the best one.  From any start the
+    iterates fall, since the best threshold at n beats the one whose N is
+    n; near the fixed point they converge quadratically, since N is flat
+    at its minimum.
+
+    Each cell starts at the best of its grid's block ends by the larger of
+    its two _term_needs, which is at most N and within ln(2)/min(Em, Es)
+    of it.  Those values also bound the cell's need from below (the floor
+    in the code), and a row needs at least the largest floor of its cells;
+    a cell whose need is already below that can never set its row's need,
+    so only the others iterate.  Each pass refines the threshold over the
+    open interval with _refine at the cell's latest n, from its latest
+    threshold, and takes N there.  A row's need is the largest over its
+    cells of min(n_u, N), and its guess that over n_per_a.  The passes stop
+    once one moves no N by more than _PREDICT_SETTLED relative, which the
+    quadratic convergence leaves far inside a bisection leaf, among the
+    cells whose need was at or above their row's new need: needs only
+    fall, so no other cell can set a row's need again.
+
+    ``hint``, an integer array on the table's (rows, counts) shape, takes
+    the grid index nearest each cell's last threshold, where a warm check
+    near the guess (_split_search) is likely to pass.
+    """
+    rows = table.shape[1]
+    cells = table.reshape(8, -1)
+    room, log_comb = cells[1], cells[2]
+    n_union = (log_comb - log_eps) / -_union_logs((1.0, room, 0.0, *cells[3:]))
+    first, last = _block_ends(_GRID_POINTS)
+    ks = np.arange(1.0, _GRID_POINTS + 1.0)[np.stack([first, last], axis=1).ravel()]
+    xs = _grid_thresholds(0.0, room[:, None], ks, _GRID_POINTS)
+    e_main, e_star = _term_exponents(xs, cells[:, :, None])
+    main_need, star_need = _term_needs(e_main, e_star, log_comb[:, None], log_eps)
+    pick = np.arange(room.size), np.argmin(np.maximum(main_need, star_need), axis=1)
+    x = xs[pick]
+    n = _split_needs(e_main[pick], e_star[pick], log_comb, log_eps)
+    cell_need = np.minimum(n_union, n).reshape(rows, -1)
+    # N >= max(main need, star need), and between consecutive block ends
+    # the first is at least its value at the lower end and the second at
+    # the upper; below the first end and above the last, one term alone
+    floor = np.minimum(np.maximum(main_need[:, :-1], star_need[:, 1:]).min(axis=1),
+                       np.minimum(star_need[:, 0], main_need[:, -1]))
+    row_floor = np.minimum(n_union, floor).reshape(rows, -1).max(axis=1)
+    live = np.flatnonzero(cell_need >= (1.0 - _BRACKET_MARGIN) * row_floor[:, None])
+    cells = cells[:, live]
+    lo, hi = 1e-12 * room[live], room[live] * (1.0 - 1e-12)
+    need = cell_need.max(axis=1)
+    for _ in range(_PREDICT_PASSES):
+        cells[0] = n[live]
+        x[live] = _refine(cells, 0.0, x[live], lo, hi)[0]
+        last = n[live]
+        n[live] = _split_needs(*_term_exponents(x[live], cells), log_comb[live], log_eps)
+        top, cell_need = cell_need, np.minimum(n_union, n).reshape(rows, -1)
+        need = cell_need.max(axis=1)
+        moved = last - n[live] > _PREDICT_SETTLED * n[live]
+        if not np.any(moved & (top >= need[:, None]).ravel()[live]):
+            break
+    k = np.clip(np.nan_to_num(np.rint(x / room * (_GRID_POINTS + 1))), 1, _GRID_POINTS)
+    hint[...] = k.reshape(hint.shape) - 1
+    return need / n_per_a
+
+
+def _bisect(lo, hi, tol: float, known_fail, known_pass, probe=None):
+    """Bisect each bracket [lo, hi] to width at most tol; returns (lo, hi).
+
+    Each step halves a bracket at mid = (lo + hi)/2, as a plain bisection
+    does.  A mid at or above the row's known_pass point passes and becomes
+    hi, else one at or below its known_fail point fails and becomes lo;
+    other mids go to probe(rows, mids), a bool per row, one call per round
+    for every row waiting on one, and its answers become known points.
+    With a predicate monotone in the mid, known points that agree with it
+    leave every bracket where the plain bisection ends.  Without probe,
+    every mid must be decided by the known points; a known_fail of inf
+    fails every mid below known_pass.
+    """
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    known_fail, known_pass = (np.array(np.broadcast_to(k, lo.shape), dtype=np.float64)
+                              for k in (known_fail, known_pass))
+    while True:
+        while True:
+            live = hi - lo > tol
+            mid = 0.5 * (lo + hi)
+            up = live & (mid >= known_pass)
+            down = live & ~up & (mid <= known_fail)
+            if not (up.any() or down.any()):
+                break
+            hi[up], lo[down] = mid[up], mid[down]
+        ask = np.flatnonzero(live)
+        if not ask.size:
+            return lo, hi
+        ok = np.asarray(probe(ask, mid[ask]), dtype=bool)
+        known_pass[ask[ok]] = mid[ask[ok]]
+        known_fail[ask[~ok]] = mid[ask[~ok]]
+
+
 def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
                                      epsilon: float, a_max: float = 50.0,
                                      tol: float = 1e-6):
@@ -602,10 +763,30 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
     Elementwise over broadcast v and rate: a float for scalars, an array
     for arrays.  The bounds cover every mistake count from alpha0 L up.
     Feasibility is monotone in a (larger a means longer codewords), so each
-    element is a bracketed bisection on [1e-6, a_max] to width tol,
-    re-deriving n = a L ln L / R at each probe.  All elements bisect in
-    lockstep, one _target_feasible decision per step on one table of cells,
-    and each cell's latest grid argmin warm starts its next split search.
+    element's answer is where a bisection on [1e-6, a_max] to width tol
+    ends: the upper end of its last bracket, with n = a L ln L / R at each
+    probe.  A probe is one _target_feasible decision for any number of
+    elements on one table of cells, and each cell's latest grid argmin
+    warm starts its next split search.  1e-6 is probed first, then a_max
+    for the elements 1e-6 fails; the rest are searched in three steps:
+    - predict: _predict_targets guesses each element's target from closed
+      forms in n, and sets each cell's warm start near its threshold there;
+    - verify: the bisection's leaf that holds the guess, [p, q], is found
+      by replaying the bisection's float arithmetic with mid >= guess as a
+      pass, and p and q are probed for every element in one call;
+    - replay: _bisect reruns the bisection from each element's largest a
+      known to fail and smallest known to pass.  A mid at or below the
+      first fails and one at or above the second passes without a probe;
+      the others are probed, one call per round for every element waiting.
+      A guess in the right leaf (p fails, q passes) needs no further probe;
+      a wrong one needs no more than the bisection's own probes.
+    Each answer is the bisection's leaf wherever feasibility is monotone in
+    a across the points probed here and by the bisection: the replay then
+    decides every mid as a probe would.  The exact bound is monotone, since
+    both of its terms fall as n grows, and the split search is within
+    about 1e-13 relative of it, so a flip needs a bisection point within
+    about 1e-12 of the crossing.  The guess moves only the probes, so only
+    the speed.
     Raises InfeasibleError for the first element, in input order, that
     even a_max fails.  L must be an integer of at least 2: at L = 1 the
     codelength is 0 for every a.
@@ -647,11 +828,19 @@ def min_section_size_rate_for_target(v, L: int, rate, alpha0: float,
         raise InfeasibleError(
             f"no section size rate up to {a_max} meets epsilon={epsilon} "
             f"at v={float(vs[i])}, L={L}, rate={float(rates[i])}, alpha0={alpha0}")
-    while (live := np.flatnonzero(hi - lo > tol)).size:
-        mid = 0.5 * (lo[live] + hi[live])
-        ok = feasible(rows[live], mid)
-        hi[live[ok]] = mid[ok]
-        lo[live[~ok]] = mid[~ok]
+    if rows.size:
+        n_per_a = L * log_L / rates[rows]
+        row_hint = hint[rows]
+        guess = _predict_targets(table[:, rows], n_per_a, log_eps, row_hint)
+        hint[rows] = row_hint
+        # the leaf of each guess's bisection, then both its ends in one probe
+        p, q = _bisect(lo, hi, tol, math.inf, guess)
+        ends = np.stack([p, q])
+        ok = feasible(np.tile(rows, 2), ends.ravel()).reshape(2, -1)
+        known_fail = np.maximum(lo, np.where(ok, -math.inf, ends).max(axis=0))
+        known_pass = np.minimum(hi, np.where(ok, ends, math.inf).min(axis=0))
+        _, hi = _bisect(lo, hi, tol, known_fail, known_pass,
+                        lambda i, mid: feasible(rows[i], mid))
     out[rows] = hi
     return float(out[0]) if not shape else out.reshape(shape)
 

@@ -132,10 +132,16 @@ def _option(dest: str) -> str:
 
 
 def _resolve_B(args) -> int:
+    if args.a is not None and not 0.0 < args.a < math.inf:
+        raise ValueError(f"--a must be positive and finite, got {args.a}")
     if args.B is not None:
         return args.B
     if args.a is not None:   # every caller has checked --L
-        return next_power_of_two(math.ceil(args.L ** args.a))
+        try:
+            return next_power_of_two(math.ceil(args.L ** args.a))
+        except OverflowError:
+            raise ValueError(f"--a {args.a} gives a section size L^a beyond a float "
+                             f"at L={args.L}") from None
     raise ValueError("give either --B or --a")
 
 

@@ -6,12 +6,13 @@ itertools enumeration.  The exceptions are slow paths that a fast one
 replaced, kept unchanged as references: the scalar closed-form exponents
 and tilt (the array forms in ``sparclab.exponents`` must match them to the
 last bits of log1p), the per-cell split-bound optimizer with golden-section
-refinement (the lockstep Newton-refined optimizer in ``sparclab.bounds``
-must match its values to 1e-12 relative and its thresholds to 1e-7 of the
-room), the per-cell scalar union bound (the array table must match it to
-the last bits of log1p), the one-row bisection for the target section
-size rate, whose probes run the full split optimization (the lockstep
-bisection and its yes/no probes must match it exactly), the full-grid
+refinement, its cells' searches run in lockstep on each cell's own
+arithmetic (the Newton-refined optimizer in ``sparclab.bounds`` must match
+its values to 1e-12 relative and its thresholds to 1e-7 of the room), the
+per-cell scalar union bound (the array table must match it to the last
+bits of log1p), the one-row bisection for the target section size rate,
+whose probes run the full split optimization (the predicted and verified
+target search and its yes/no probes must match it exactly), the full-grid
 achievable-rate search (the pruned lockstep ``achievable_rate`` must
 return the same record, repr for repr), the scalar Acklam quantile
 (``normal_quantile`` must match it bit for bit) and the prefix/suffix-table
@@ -301,22 +302,34 @@ def union_log(ell: int, L: int, n: float, v: float, rate: float, t: float) -> fl
     return log_binomial(L, ell) - n * expo
 
 
-def capped_exponent_vec(delta: np.ndarray, spread: float) -> np.ndarray:
-    """Vectorized tilt-capped exponent; zero for nonpositive gaps."""
+def _clamp_offsets(spread) -> np.ndarray:
+    """(1/2)ln(1 - spread) per element, with math.log1p's bits."""
+    return np.array([0.5 * math.log1p(-s) for s in np.ravel(spread).tolist()]).reshape(
+        np.shape(spread))
+
+
+def capped_exponent_vec(delta: np.ndarray, spread) -> np.ndarray:
+    """Vectorized tilt-capped exponent; zero for nonpositive gaps.
+
+    spread is a scalar or an array broadcast against delta.
+    """
     d = np.maximum(delta, 0.0)
-    if spread == 0.0:
-        return d
-    q = 4.0 * d * d / spread
+    zero = np.asarray(spread) == 0.0
+    safe = np.where(zero, 1.0, spread)
+    q = 4.0 * d * d / safe
     root = np.sqrt(1.0 + q)
-    lam = 2.0 * d / (spread * (1.0 + root))
+    lam = 2.0 * d / (safe * (1.0 + root))
     gamma = q / (root + 1.0)
     interior = 0.5 * (gamma - np.log1p(0.5 * gamma))
-    clamped = d + 0.5 * math.log1p(-spread)
-    return np.where(lam >= 1.0, clamped, interior)
+    clamped = d + _clamp_offsets(np.where(zero, 0.0, spread))
+    return np.where(zero, d, np.where(lam >= 1.0, clamped, interior))
 
 
-def exponent_vec(delta: np.ndarray, spread: float) -> np.ndarray:
-    """Vectorized unrestricted exponent; zero for nonpositive gaps."""
+def exponent_vec(delta: np.ndarray, spread) -> np.ndarray:
+    """Vectorized unrestricted exponent; zero for nonpositive gaps.
+
+    spread is a positive scalar or array broadcast against delta.
+    """
     d = np.maximum(delta, 0.0)
     q = 4.0 * d * d / spread
     gamma = q / (np.sqrt(1.0 + q) + 1.0)
@@ -337,49 +350,74 @@ def split_eval(ell: int, L: int, n: float, v: float, rate: float, t: float,
     Uniform grid then golden-section refinement around the grid minimum.
     Returns (log_total, t_alpha, log_main, log_star).
     """
-    alpha = ell / L
-    head = partial_capacity(alpha, v) - alpha * rate
-    room = head - t
-    if room <= 0.0:
-        return 0.0, t, 0.0, 0.0
+    return split_eval_cells([(ell, L, n, v, rate, t)], grid_points)[0]
 
-    log_comb = log_binomial(L, ell)
-    s_main = spread_refined(alpha, v)
-    s_star = alpha * alpha * v / (1.0 + alpha * alpha * v)
+
+def split_eval_cells(cells, grid_points: int = 256) -> list:
+    """split_eval of each cell (ell, L, n, v, rate, t), as a list.
+
+    The golden-section searches of all cells run in lockstep, each with
+    its own bracket and its own stop, so each cell's arithmetic is that of
+    a search on its own.
+    """
+    out = [None] * len(cells)
+    params = []     # (index, n, t, log_comb, s_main, s_star, room) of the cells with room
+    for i, (ell, L, n, v, rate, t) in enumerate(cells):
+        alpha = ell / L
+        head = partial_capacity(alpha, v) - alpha * rate
+        room = head - t
+        if room <= 0.0:
+            out[i] = (0.0, t, 0.0, 0.0)
+            continue
+        params.append((i, n, t, log_binomial(L, ell), spread_refined(alpha, v),
+                       alpha * alpha * v / (1.0 + alpha * alpha * v), room))
+    if not params:
+        return out
+    index, *cols = zip(*params)
+    n, t, log_comb, s_main, s_star, room = (np.array(c) for c in cols)
+
+    def f(x, live=slice(None)):
+        m, s = split_terms(x, n[live], t[live], log_comb[live], s_main[live],
+                           s_star[live], room[live])
+        return np.logaddexp(m, s)
 
     ks = np.arange(1, grid_points + 1, dtype=np.float64)
-    xs = t + room * ks / (grid_points + 1)
-    main, star = split_terms(xs, n, t, log_comb, s_main, s_star, room)
+    xs = t[:, None] + room[:, None] * ks / (grid_points + 1)
+    main, star = split_terms(xs, *(c[:, None] for c in (n, t, log_comb, s_main, s_star,
+                                                         room)))
     tot = np.logaddexp(main, star)
-    j = int(np.argmin(tot))
+    j = np.argmin(tot, axis=1)
+    rows = np.arange(j.size)
+    tot_j, x_j = tot[rows, j], xs[rows, j]
+    a = np.where(j > 0, xs[rows, np.maximum(j - 1, 0)], t + 1e-12 * room)
+    b = np.where(j < grid_points - 1, xs[rows, np.minimum(j + 1, grid_points - 1)],
+                 t + room * (1.0 - 1e-12))
 
-    lo = xs[j - 1] if j > 0 else t + 1e-12 * room
-    hi = xs[j + 1] if j < grid_points - 1 else t + room * (1.0 - 1e-12)
-
-    def f(x: float) -> float:
-        m, s = split_terms(np.array([x]), n, t, log_comb, s_main, s_star, room)
-        return float(np.logaddexp(m, s)[0])
-
-    a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
+    live = np.ones(j.size, dtype=bool)
     for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        if b - a <= 1e-14 * room:
+        if not live.any():
             break
-    x_opt = c if fc < fd else d
-    if float(tot[j]) < min(fc, fd):
-        x_opt = float(xs[j])
-    m, s = split_terms(np.array([x_opt]), n, t, log_comb, s_main, s_star, room)
-    return float(np.logaddexp(m, s)[0]), float(x_opt), float(m[0]), float(s[0])
+        left = live & (fc < fd)
+        right = live & ~(fc < fd)
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        c = np.where(left, b - GOLDEN * (b - a), c)
+        d = np.where(right, a + GOLDEN * (b - a), d)
+        new = np.where(left, c, d)
+        f_new = np.full(j.size, np.nan)
+        f_new[live] = f(new[live], live)
+        fc, fd = np.where(left, f_new, fc), np.where(right, f_new, fd)
+        live &= ~(b - a <= 1e-14 * room)
+    x_opt = np.where(fc < fd, c, d)
+    x_opt = np.where(tot_j < np.minimum(fc, fd), x_j, x_opt)
+    m, s = split_terms(x_opt, n, t, log_comb, s_main, s_star, room)
+    total = np.logaddexp(m, s)
+    for k, i in enumerate(index):
+        out[i] = (float(total[k]), float(x_opt[k]), float(m[k]), float(s[k]))
+    return out
 
 
 def target_feasible(v: float, L: int, rate: float, alpha0: float,

@@ -291,14 +291,21 @@ class TestErrorSurface:
          "codelength must be finite and exceed 1, got nan"),
         (["curves", "--kind", "ppv", "--n-list", "inf"],
          "codelength must be finite and exceed 1, got inf"),
-    ])
+        (["bounds", "--a", "1e6"],
+         "--a 1000000.0 gives a section size L^a beyond a float at L=4"),
+    ] + [([command, "--a", value], f"--a must be positive and finite, got {float(value)}")
+         for command in ("bounds", "simulate", "power-check", "compose-demo")
+         for value in ("inf", "nan", "0", "-1")])
     def test_bad_value_fails_before_any_output(self, argv, message, tmp_path,
                                                capsys):
-        code = ["--snr", "15", "--L", "4", "--B", "16", "--rate-fraction", "0.5"]
-        if argv[0] == "curves":
-            code = []
+        # no --B with --a, which --B would otherwise take precedence over
+        section = [] if "--a" in argv else ["--B", "16"]
+        code = {"curves": [], "compose-demo": ["--L", "4", *section]}.get(
+            argv[0], ["--snr", "15", "--L", "4", *section, "--rate-fraction", "0.5"])
         out = tmp_path / "out.csv"
-        for extra in ([], ["--out", str(out)]):
+        # compose-demo writes to stdout only
+        extras = [[]] if argv[0] == "compose-demo" else [[], ["--out", str(out)]]
+        for extra in extras:
             with pytest.raises(SystemExit) as exc:
                 # later flags win, so argv's value replaces the code's
                 run_cli([argv[0], *code, *argv[1:], *extra])
